@@ -32,12 +32,12 @@ use hbsp_bench::testbed::{hbsp2_testbed, input_kb, testbed};
 use hbsp_collectives::allgather::simulate_allgather;
 use hbsp_collectives::alltoall::{simulate_alltoall, simulate_alltoall_hier};
 use hbsp_collectives::broadcast::{simulate_broadcast, BroadcastPlan};
-use hbsp_collectives::gather::{simulate_gather, FlatGather, GatherPlan};
+use hbsp_collectives::gather::{gather_program, simulate_gather, GatherPlan};
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::reduce::{simulate_reduce, ReduceOp};
 use hbsp_collectives::scan::simulate_scan;
 use hbsp_collectives::scatter::simulate_scatter;
-use hbsp_collectives::shares_for;
+use hbsp_collectives::schedule::run_on_simulator;
 use hbsp_core::{topology, MachineTree};
 use hbsp_sim::{ascii_gantt, SimOutcome, Simulator, TraceSummary};
 use std::process::exit;
@@ -208,11 +208,11 @@ fn main() {
                 strategy: o.strategy,
             };
             if o.trace {
-                // Traced run via the raw simulator for timeline capture.
-                let shares = Arc::new(shares_for(&tree, &items, o.workload));
-                let root = o.root.resolve(&tree).expect("valid root rank");
+                // The plan's own program on a tracing simulator, for
+                // timeline capture.
+                let (prog, _) = gather_program(&tree, &items, plan).expect("valid root rank");
                 let sim = Simulator::new(Arc::new(tree.clone())).trace(true);
-                sim.run(&FlatGather::new(root, shares)).expect("run")
+                run_on_simulator(&sim, &prog).expect("run").0
             } else {
                 simulate_gather(&tree, &items, plan).expect("run").sim
             }

@@ -414,27 +414,25 @@ pub struct AccuracyRow {
     pub simulated: f64,
 }
 
-/// Price the real gather/broadcast programs with the generic
-/// [`hbsp_sim::ModelEvaluator`] and compare against the closed forms —
-/// the two prediction paths must agree (up to the few header words per
-/// message the closed forms don't count).
+/// Price the real flat gather program (the interpreter running its
+/// lowered schedule) with the generic [`hbsp_sim::ModelEvaluator`] and
+/// compare against the closed form — the two prediction paths must
+/// agree (up to the few header words per message the closed form
+/// doesn't count).
 pub fn model_evaluator_agreement(p: usize, kb: usize) -> Result<Vec<(f64, f64)>, CollectiveError> {
-    use hbsp_collectives::data::shares_for;
-    use hbsp_collectives::gather::FlatGather;
+    use hbsp_collectives::gather::gather_program;
     use std::sync::Arc;
 
     let tree = testbed(p).expect("testbed builds");
     let items = input_kb(kb);
     let n = items.len() as u64;
-    let root = RootPolicy::Fastest
-        .resolve(&tree)
-        .expect("fastest root always resolves");
     let mut pairs = Vec::new();
     for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
+        let (prog, root) =
+            gather_program(&tree, &items, GatherPlan::fast_root().with_workload(wl))?;
         let closed = predict::gather_flat(&tree, n, root, wl).total();
-        let shares = Arc::new(shares_for(&tree, &items, wl));
         let evaluated = hbsp_sim::ModelEvaluator::new(Arc::new(tree.clone()))
-            .run(&FlatGather::new(root, shares))?
+            .run(&prog)?
             .total();
         pairs.push((closed, evaluated));
     }

@@ -33,6 +33,26 @@ fn traced_gather_prints_gantt() {
 }
 
 #[test]
+fn traced_gather_runs_the_planned_strategy() {
+    let campus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/campus.hbsp");
+    let args = [campus, "gather", "--kb", "10", "--strategy", "hier"];
+    let (plain, _, ok) = run(&args);
+    assert!(ok);
+    let (traced, _, ok) = run(&[&args[..], &["--trace"]].concat());
+    assert!(ok);
+    assert!(traced.contains("activity"), "{traced}");
+    let summary = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.starts_with("model time") || l.starts_with("supersteps"))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert!(plain.contains("supersteps      : 3"), "{plain}");
+    assert_eq!(summary(&plain).len(), 2, "{plain}");
+    assert_eq!(summary(&traced), summary(&plain));
+}
+
+#[test]
 fn hierarchical_reduce_on_testbed2() {
     let (stdout, _, ok) = run(&["testbed2", "reduce", "--strategy", "hier", "--kb", "20"]);
     assert!(ok);

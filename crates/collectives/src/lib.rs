@@ -2,9 +2,10 @@
 //!
 //! The paper's Section 4 designs two collectives under the HBSP^k model —
 //! **gather** and **one-to-all broadcast** — and defers a larger suite to
-//! the companion dissertation \[20\]. This crate implements all of them as
-//! [`hbsp_core::SpmdProgram`]s runnable on either engine, each with an
-//! analytic cost prediction mirroring the paper's formulas:
+//! the companion dissertation \[20\]. This crate implements all of them.
+//! Each collective module holds the operation's *lowerings* `plan →
+//! CommSchedule` and its `simulate_*` entry points, which lower the plan,
+//! run the schedule on the simulator and read the result back:
 //!
 //! | module | operation | paper |
 //! |---|---|---|
@@ -12,18 +13,23 @@
 //! | [`broadcast`] | one-/two-phase flat broadcast, hierarchical broadcast | §4.4 |
 //! | [`scatter`] | root distributes `c_j·n` to each processor | \[20\] |
 //! | [`allgather`] | total data exchange of per-processor pieces | \[20\] |
-//! | [`alltoall`] | personalized all-to-all | \[20\] |
+//! | [`alltoall`] | personalized all-to-all, flat and staged | \[20\] |
 //! | [`reduce`] | flat and hierarchical reduction (+ allreduce) | \[20\] |
 //! | [`scan`] | prefix reduction across ranks | \[20\] |
-//! | [`schedule`] | the communication-schedule IR every collective lowers to | §4 |
-//! | [`mod@predict`] | cost predictions derived from communication schedules | §4 |
-//! | [`tune`] | pick the cheapest strategy for a machine by predicted cost | §4.4 |
 //!
-//! Every collective is a pure *lowering* `plan → CommSchedule`
-//! ([`schedule::CommSchedule`]): the same artifact is executed by the
-//! generic [`schedule::ScheduleProgram`] interpreter on either engine,
-//! priced by [`predict::predict`], and compared by [`tune`] — so the
-//! implementation and its cost model cannot drift apart.
+//! The machinery every collective shares:
+//!
+//! | module | role |
+//! |---|---|
+//! | [`schedule`] | the communication-schedule IR and its interpreter, [`ScheduleProgram`] |
+//! | [`mod@predict`] | cost predictions derived from communication schedules (§4) |
+//! | [`tune`] | pick the cheapest strategy for a machine by predicted cost (§4.4) |
+//!
+//! A lowering's [`schedule::CommSchedule`] is the one artifact everything
+//! else derives from: the generic [`ScheduleProgram`] interpreter, the
+//! crate's only [`hbsp_core::SpmdProgram`], executes it on either engine;
+//! [`predict::predict`] prices it; and [`tune`] compares the prices — so
+//! the implementation and its cost model cannot drift apart.
 //!
 //! The paper's two design rules run through every algorithm:
 //!
@@ -34,7 +40,7 @@
 //!    `c_j` fractions ([`plan::WorkloadPolicy`]).
 //!
 //! BSP baselines (what a homogeneity-assuming program would do) are the
-//! same programs under `RootPolicy::Rank(0)` + `WorkloadPolicy::Equal`.
+//! same plans under `RootPolicy::Rank(0)` + `WorkloadPolicy::Equal`.
 //!
 //! Implementation note from §5.2, load-bearing for the paper's `p = 2`
 //! anomaly: *"a processor does not send data to itself"* — every

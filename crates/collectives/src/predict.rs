@@ -155,11 +155,12 @@ mod tests {
 
     #[test]
     fn closed_form_matches_model_evaluator_on_the_real_program() {
-        // Price the *actual* FlatGather program with the generic model
+        // Price the *actual* flat gather program — the interpreter
+        // running its lowered schedule — with the generic model
         // evaluator: it must reproduce the §4.2 closed form exactly
         // (same h-relation, same L), for every plan.
-        use crate::data::shares_for;
-        use crate::gather::FlatGather;
+        use crate::gather::{gather_program, GatherPlan};
+        use crate::plan::{RootPolicy, Strategy};
         use hbsp_sim::ModelEvaluator;
         use std::sync::Arc;
 
@@ -173,10 +174,13 @@ mod tests {
         for workload in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
             for root in [ProcId(0), ProcId(3)] {
                 let closed = gather_flat(&t, items.len() as u64, root, workload);
-                let shares = Arc::new(shares_for(&t, &items, workload));
-                let program_cost = ModelEvaluator::new(Arc::new(t.clone()))
-                    .run(&FlatGather::new(root, shares))
-                    .unwrap();
+                let plan = GatherPlan {
+                    root: RootPolicy::Rank(root.0),
+                    workload,
+                    strategy: Strategy::Flat,
+                };
+                let (prog, _) = gather_program(&t, &items, plan).unwrap();
+                let program_cost = ModelEvaluator::new(Arc::new(t.clone())).run(&prog).unwrap();
                 // The program's first superstep carries the whole cost;
                 // its payload includes 3 bundle-header words per sender,
                 // weighted by the slowest participant's r — allow that

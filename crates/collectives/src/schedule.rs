@@ -53,8 +53,8 @@ impl UnitId {
     }
 }
 
-/// What a transfer's payload is, so the interpreter can materialize the
-/// exact bytes the hand-written collectives used to send.
+/// What a transfer's payload is, so the interpreter can materialize its
+/// exact wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Role {
     /// One unit on the wire as `[offset, items…]` ([`Piece::encode`]).
@@ -290,7 +290,7 @@ impl ScheduleState {
 
     fn absorb(&mut self, op: Option<ReduceOp>, messages: &hbsp_core::MsgBatch) {
         // Partials fold in src order for determinism (all ops are
-        // commutative, but keep the legacy programs' order anyway).
+        // commutative, but a fixed order keeps results reproducible).
         let mut partials: Vec<(ProcId, Vec<u32>)> = Vec::new();
         for m in messages {
             match m.tag {

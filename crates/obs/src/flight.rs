@@ -22,10 +22,10 @@
 //!   any thread at any time — including from a fault handler while
 //!   the run is still aborting.
 //! * **Streaming anomaly detection** — an embedded
-//!   [`AnomalyDetector`] (Welford moments in the same atomic arena)
-//!   flags per-processor barrier skew and duration drift online,
-//!   bumping `hbsp_anomaly_*` metrics and recording
-//!   [`EventTrace::Anomaly`] events.
+//!   [`AnomalyDetector`](crate::AnomalyDetector) (Welford moments in
+//!   the same atomic arena) flags per-processor barrier skew and
+//!   duration drift online, bumping `hbsp_anomaly_*` metrics and
+//!   recording [`EventTrace::Anomaly`] events.
 //!
 //! On a fault, [`FlightRecorder::bundle`] freezes everything into a
 //! [`crate::PostmortemBundle`].

@@ -415,6 +415,16 @@ impl Recorder {
         self.events.lock().expect("recorder lock").clone()
     }
 
+    /// Hand over the recorded steps and events, in order, and start
+    /// empty again; metrics keep counting. A caller that consumes the
+    /// telemetry slice by slice (one scheduler batch at a time) takes
+    /// each slice once instead of copying the whole history.
+    pub fn take(&self) -> (Vec<StepTrace>, Vec<EventTrace>) {
+        let steps = std::mem::take(&mut *self.steps.lock().expect("recorder lock"));
+        let events = std::mem::take(&mut *self.events.lock().expect("recorder lock"));
+        (steps, events)
+    }
+
     /// Snapshot of every metric, with the process-global poison-
     /// recovery delta appended as
     /// `hbsp_poisoned_lock_recoveries_total`.
@@ -748,6 +758,25 @@ mod tests {
         assert!(text.contains("hbsp_watchdog_firings_total 1\n"));
         assert!(text.contains("hbsp_degrade_events_total 1\n"));
         assert!(text.contains("hbsp_recovery_attempts_total 1\n"));
+    }
+
+    #[test]
+    fn take_hands_over_each_slice_once() {
+        let rec = Recorder::new();
+        let (a, b) = (
+            synthetic_step(0, Some(1), 0.0),
+            synthetic_step(1, Some(1), 10.0),
+        );
+        rec.on_step(&record_of(&a));
+        rec.on_event(&ObsEvent::RecoveryAttempt { attempt: 1 });
+        let (steps, events) = rec.take();
+        assert_eq!(steps, vec![a]);
+        assert_eq!(events.len(), 1);
+        assert!(rec.steps().is_empty() && rec.events().is_empty());
+        rec.on_step(&record_of(&b));
+        assert_eq!(rec.take(), (vec![b], Vec::new()));
+        // Metrics count across takes.
+        assert!(rec.metrics_text().contains("hbsp_steps_total 2\n"));
     }
 
     #[test]

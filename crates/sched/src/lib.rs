@@ -231,8 +231,9 @@ impl Scheduler {
         // node) — or (job, node) for custom work — so a graph of
         // repeated shapes prices each shape once.
         let mut prices: HashMap<(u8, u64, u32), Option<f64>> = HashMap::new();
-        let mut recorded = 0usize;
-        let mut recorded_events = 0usize;
+        // Steps recorded by earlier batches (the recorder is emptied
+        // after each one).
+        let mut steps_seen = 0usize;
         let max_batch = if opts.serial { 1 } else { usize::MAX };
         // Closed loop: placement prices and lowerings come from the
         // belief tree; execution stays on the physical tree (same
@@ -349,8 +350,7 @@ impl Scheduler {
             let (outcome, states) = match session.submit(&prog) {
                 Ok(ok) => ok,
                 Err(e) => {
-                    let all_steps = recorder.steps();
-                    let fail_steps = all_steps[recorded.min(all_steps.len())..].to_vec();
+                    let (fail_steps, fail_events) = recorder.take();
                     let fail_end = clock
                         + fail_steps
                             .iter()
@@ -386,7 +386,6 @@ impl Scheduler {
                             br.replanned
                         );
                     }
-                    let all_events = recorder.events();
                     let bundle = PostmortemBundle {
                         reason: e.to_string(),
                         engine: engine_name.to_string(),
@@ -394,7 +393,7 @@ impl Scheduler {
                         machine: tree.to_string(),
                         fault_plan: self.faults.render(),
                         steps: fail_steps,
-                        events: all_events[recorded_events.min(all_events.len())..].to_vec(),
+                        events: fail_events,
                         decision_log: log,
                         metrics: metrics.snapshot(),
                         spans: causal.into_spans(),
@@ -406,13 +405,9 @@ impl Scheduler {
             let (start, end) = (clock, clock + duration);
             clock = end;
 
-            let all_steps = recorder.steps();
-            let all_events = recorder.events();
-            let batch_steps = &all_steps[recorded..];
-            let batch_events = &all_events[recorded_events..];
-            let drift = DriftReport::new(batch_steps, predicted.steps()).ok();
-            recorded = all_steps.len();
-            recorded_events = all_events.len();
+            let (batch_steps, batch_events) = recorder.take();
+            let drift = DriftReport::new(&batch_steps, predicted.steps()).ok();
+            steps_seen += batch_steps.len();
 
             let batch_span = causal.push(
                 CausalKind::Batch,
@@ -430,7 +425,7 @@ impl Scheduler {
                     end,
                 );
             }
-            causal.push_steps(Some(batch_span), batch_steps, start);
+            causal.push_steps(Some(batch_span), &batch_steps, start);
 
             for l in &lowered {
                 let i = l.job;
@@ -490,7 +485,7 @@ impl Scheduler {
                     .unwrap_or(f64::INFINITY);
                 if num_done < n && batch_drift > threshold {
                     if let Some(updated) =
-                        hbsplib::recalibrated(&belief, batch_steps, batch_events, adapt_trim)
+                        hbsplib::recalibrated(&belief, &batch_steps, &batch_events, adapt_trim)
                     {
                         belief = updated;
                         prices.clear();
@@ -499,7 +494,7 @@ impl Scheduler {
                         if recorder.enabled() {
                             recorder.on_event(&ObsEvent::Replan {
                                 segment: batch_index,
-                                step: recorded,
+                                step: steps_seen,
                                 drift: batch_drift,
                                 strategy: "sched/re-place",
                                 predicted: predicted.total(),

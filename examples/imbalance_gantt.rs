@@ -8,10 +8,10 @@
 //! cargo run --example imbalance_gantt
 //! ```
 
-use hbsp::collectives::data::shares_for;
-use hbsp::collectives::gather::{FlatGather, GatherPlan};
+use hbsp::collectives::gather::{gather_program, GatherPlan};
 use hbsp::collectives::plan::WorkloadPolicy;
 use hbsp::collectives::predict;
+use hbsp::collectives::schedule::run_on_simulator;
 use hbsp::core::analysis::{heterogeneity, Penalty};
 use hbsp::sim::{ascii_gantt, Simulator, SpanKind};
 use std::sync::Arc;
@@ -42,10 +42,10 @@ fn main() {
             WorkloadPolicy::CommAware,
         ),
     ] {
-        let shares = Arc::new(shares_for(&tree, &items, workload));
-        let prog = FlatGather::new(tree.fastest_proc(), shares);
+        let plan = GatherPlan::fast_root().with_workload(workload);
+        let (prog, _) = gather_program(&tree, &items, plan).expect("fastest root resolves");
         let sim = Simulator::new(Arc::clone(&tree)).trace(true);
-        let out = sim.run(&prog).expect("gather runs");
+        let (out, _) = run_on_simulator(&sim, &prog).expect("gather runs");
         let timelines = out.timelines.as_ref().expect("tracing enabled");
         println!("gather with {label}: T = {:.0}", out.total_time);
         println!("{}", ascii_gantt(timelines, 72));

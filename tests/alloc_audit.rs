@@ -14,28 +14,47 @@
 //! sneaks back into the engine, the mailbox, or the codec multiplies
 //! with `messages × steps` and blows the bound by orders of magnitude.
 //!
-//! Everything lives in one `#[test]` so no concurrent test pollutes
-//! the process-wide counter.
+//! The tests that read the process-wide counter take `AUDIT_LOCK` so
+//! no concurrent test in this binary pollutes it.
 
 use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder};
 use hbsp_runtime::ThreadedRuntime;
 use hbsp_sim::Simulator;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Serializes the tests in this binary: the allocation counter is
 /// process-wide, so a concurrently-running test would pollute it.
 static AUDIT_LOCK: Mutex<()> = Mutex::new(());
 
-/// Counts every heap allocation (alloc and realloc) in the process.
+/// Take `AUDIT_LOCK` even if an earlier test panicked while holding
+/// it, so one failure does not cascade into the others.
+fn serial() -> MutexGuard<'static, ()> {
+    AUDIT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Counts every heap allocation (alloc and realloc), process-wide and
+/// per thread.
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialized and
+    /// drop-free, so the allocator can touch it without allocating.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -44,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -103,15 +122,23 @@ fn machine() -> Arc<hbsp_core::MachineTree> {
     )
 }
 
+/// Allocations by every thread of the process while `f` runs.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 
+/// Allocations by the calling thread alone while `f` runs.
+fn thread_allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let out = f();
+    (THREAD_ALLOCS.with(Cell::get) - before, out)
+}
+
 #[test]
 fn steady_state_supersteps_allocate_nothing_per_message() {
-    let _serial = AUDIT_LOCK.lock().unwrap();
+    let _serial = serial();
     let tree = machine();
 
     // Warmup both engines once so lazily-initialized process state
@@ -169,7 +196,7 @@ fn steady_state_supersteps_allocate_nothing_per_message() {
 fn sync_facade_adds_no_allocations_to_hot_primitives() {
     use hbsp_runtime::sync::atomic::{AtomicU64, Ordering as O};
     use hbsp_runtime::sync::{Condvar, Instant, Mutex};
-    let _serial = AUDIT_LOCK.lock().unwrap();
+    let _serial = serial();
     let m = Mutex::new(0u64);
     let cv = Condvar::new();
     let a = AtomicU64::new(0);
@@ -177,7 +204,10 @@ fn sync_facade_adds_no_allocations_to_hot_primitives() {
     // first clock read) is paid for outside the measured loop.
     *m.lock().unwrap() += Instant::now().elapsed().as_nanos() as u64;
     cv.notify_one();
-    let (n, _) = allocs_during(|| {
+    // Every primitive measured here runs on this thread, so count this
+    // thread's allocations only: the harness and other test threads
+    // allocate concurrently, and the bound is exactly zero.
+    let (n, _) = thread_allocs_during(|| {
         for i in 0..10_000u64 {
             a.fetch_add(i, O::Release);
             a.load(O::Acquire);
@@ -206,7 +236,7 @@ fn sync_facade_adds_no_allocations_to_hot_primitives() {
 #[test]
 fn armed_flight_recorder_allocates_nothing_per_superstep() {
     use hbsp_obs::FlightRecorder;
-    let _serial = AUDIT_LOCK.lock().unwrap();
+    let _serial = serial();
     let tree = machine();
     let prog = Ring { k: 8 };
 
@@ -256,7 +286,7 @@ fn armed_flight_recorder_allocates_nothing_per_superstep() {
 /// delivery path preserves ordering exactly.
 #[test]
 fn audited_program_is_bit_identical_across_engines() {
-    let _serial = AUDIT_LOCK.lock().unwrap();
+    let _serial = serial();
     let tree = machine();
     for k in [1usize, 8] {
         let prog = Ring { k };

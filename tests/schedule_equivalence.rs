@@ -1,5 +1,5 @@
 //! The schedule IR refactor changes *how* costs and executions are
-//! produced, not *what* they are. Two property suites pin that down:
+//! produced, not *what* they are. Two suites pin that down:
 //!
 //! 1. **Cost equivalence** — [`hbsp::collectives::predict`]'s
 //!    schedule-derived reports equal the pre-refactor closed forms
@@ -10,31 +10,25 @@
 //! 2. **Execution equivalence** — the generic schedule interpreter
 //!    reproduces the hand-written SPMD programs it replaced: same
 //!    results, same simulated time, same message count, on random
-//!    machines of every height; and the interpreter itself agrees
-//!    across the simulator and the threaded runtime.
+//!    machines of every height, held against the golden outcomes those
+//!    programs recorded before they were deleted; and the interpreter
+//!    itself agrees across the simulator and the threaded runtime.
 
 mod common;
 
-use hbsp::collectives::alltoall::{
-    simulate_alltoall, simulate_alltoall_hier, AllToAll, HierarchicalAllToAll,
-};
-use hbsp::collectives::broadcast::{
-    simulate_broadcast, BroadcastPlan, FlatBroadcast, HierarchicalBroadcast,
-};
-use hbsp::collectives::data::{shares_for, Piece};
-use hbsp::collectives::gather::{
-    lower_gather, simulate_gather, FlatGather, GatherPlan, HierarchicalGather,
-};
+use hbsp::collectives::allgather::simulate_allgather;
+use hbsp::collectives::alltoall::{simulate_alltoall, simulate_alltoall_hier};
+use hbsp::collectives::broadcast::{simulate_broadcast, BroadcastPlan};
+use hbsp::collectives::data::Piece;
+use hbsp::collectives::gather::{gather_program, simulate_gather, GatherPlan};
 use hbsp::collectives::plan::{PhasePolicy, RootPolicy, Strategy as PlanStrategy, WorkloadPolicy};
 use hbsp::collectives::predict;
-use hbsp::collectives::reduce::{simulate_reduce, FlatReduce, HierarchicalReduce, ReduceOp};
-use hbsp::collectives::scan::{simulate_scan, Scan};
-use hbsp::collectives::scatter::{simulate_scatter, Scatter};
-use hbsp::collectives::schedule::{self, share_inits, ScheduleProgram};
-use hbsp::collectives::{allgather::simulate_allgather, allgather::FlatAllGather};
-use hbsp::core::{CostReport, MachineTree, ProcId, SpmdProgram};
+use hbsp::collectives::reduce::{simulate_reduce, ReduceOp};
+use hbsp::collectives::scan::simulate_scan;
+use hbsp::collectives::scatter::simulate_scatter;
+use hbsp::collectives::schedule;
+use hbsp::core::{topology, CostReport, MachineTree, ProcId};
 use hbsp::prelude::*;
-use hbsp_sim::Simulator;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -307,17 +301,394 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Execution equivalence: the interpreter vs the hand-written programs.
+// Execution equivalence: the interpreter vs the hand-written programs
+// it replaced, frozen as golden outcomes in
+// `fixtures/collectives_golden.txt` (its header says how and where they
+// were captured).
 
-/// Run a legacy hand-written program on the simulator with the same
-/// default microcosts `simulate_*` uses.
-fn run_legacy<P: SpmdProgram>(
-    tree: &MachineTree,
-    prog: &P,
-) -> (hbsp_sim::SimOutcome, Vec<P::State>) {
-    Simulator::new(Arc::new(tree.clone()))
-        .run_with_states(prog)
-        .expect("legacy program runs")
+const GOLDEN: &str = include_str!("../fixtures/collectives_golden.txt");
+
+/// Cases per property in the fixture; no case may go missing.
+const GOLDEN_CASES: usize = 24;
+
+/// One legacy program's recorded outcome on a case.
+struct GoldenRow {
+    program: String,
+    time_bits: u64,
+    messages: u64,
+    hash: u64,
+}
+
+/// One generated input with the legacy outcomes recorded for it.
+#[derive(Default)]
+struct GoldenCase {
+    label: String,
+    machine: Option<MachineTree>,
+    root: Option<ProcId>,
+    workload: Option<WorkloadPolicy>,
+    op: Option<ReduceOp>,
+    items: Vec<u32>,
+    vectors: Vec<Vec<u32>>,
+    blocks: Vec<Vec<Vec<u32>>>,
+    rows: Vec<GoldenRow>,
+}
+
+/// One interpreter run to hold against a golden row.
+struct Run {
+    program: String,
+    time: f64,
+    messages: u64,
+    /// Per processor, the result sequences the row's hash covers.
+    results: Vec<Vec<Vec<u32>>>,
+    /// Relative time tolerance; `None` demands identical bits.
+    tolerance: Option<f64>,
+}
+
+fn run(program: impl Into<String>, time: f64, messages: u64, results: Vec<Vec<Vec<u32>>>) -> Run {
+    Run {
+        program: program.into(),
+        time,
+        messages,
+        results,
+        tolerance: None,
+    }
+}
+
+impl GoldenCase {
+    fn machine(&self) -> &MachineTree {
+        self.machine.as_ref().expect("case records a machine")
+    }
+
+    fn root(&self) -> ProcId {
+        self.root.expect("case records a root")
+    }
+
+    fn workload(&self) -> WorkloadPolicy {
+        self.workload.expect("case records a workload")
+    }
+
+    /// Hold the interpreter's runs against the recorded rows: the same
+    /// programs in the same order, each with the same time bits (or
+    /// within its tolerance), message count and per-processor results.
+    #[track_caller]
+    fn check(&self, runs: &[Run]) {
+        let got: Vec<&str> = runs.iter().map(|r| r.program.as_str()).collect();
+        let want: Vec<&str> = self.rows.iter().map(|r| r.program.as_str()).collect();
+        assert_eq!(got, want, "{}: programs", self.label);
+        for (row, run) in self.rows.iter().zip(runs) {
+            let what = format!("{} {}", self.label, row.program);
+            let golden = f64::from_bits(row.time_bits);
+            match run.tolerance {
+                None => assert_eq!(
+                    run.time.to_bits(),
+                    row.time_bits,
+                    "{what}: time {} vs golden {golden}",
+                    run.time
+                ),
+                Some(tol) => assert!(
+                    (run.time - golden).abs() <= tol * golden.max(1.0),
+                    "{what}: time {} vs golden {golden}",
+                    run.time
+                ),
+            }
+            assert_eq!(run.messages, row.messages, "{what}: messages");
+            assert_eq!(results_hash(&run.results), row.hash, "{what}: results");
+        }
+    }
+}
+
+/// FNV-1a 64 over little-endian `u32` words: the processor count, then
+/// per processor its number of result sequences and each sequence as
+/// its length followed by its items.
+fn results_hash(per_proc: &[Vec<Vec<u32>>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |w: u32| {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    word(per_proc.len() as u32);
+    for seqs in per_proc {
+        word(seqs.len() as u32);
+        for s in seqs {
+            word(s.len() as u32);
+            for &x in s {
+                word(x);
+            }
+        }
+    }
+    h
+}
+
+/// `result` at processor `at`, nothing elsewhere (rooted collectives).
+fn only_at(p: usize, at: ProcId, result: &[u32]) -> Vec<Vec<Vec<u32>>> {
+    (0..p)
+        .map(|j| {
+            if j == at.rank() {
+                vec![result.to_vec()]
+            } else {
+                Vec::new()
+            }
+        })
+        .collect()
+}
+
+/// The same `result` at every processor.
+fn everywhere(p: usize, result: &[u32]) -> Vec<Vec<Vec<u32>>> {
+    vec![vec![result.to_vec()]; p]
+}
+
+fn parse_hex(words: &str) -> Vec<u32> {
+    words
+        .split_whitespace()
+        .map(|w| u32::from_str_radix(w, 16).expect("hex word"))
+        .collect()
+}
+
+/// `<program> time=<hex bits> messages=<n> hash=<hex>`.
+fn parse_row(rest: &str) -> GoldenRow {
+    let (program, fields) = rest.split_once(" time=").expect("row has a time");
+    let mut fields = fields.split(' ');
+    let mut field = |key: &str| {
+        let f = fields.next().expect("row field");
+        f.strip_prefix(key).expect("row field key").to_owned()
+    };
+    GoldenRow {
+        program: program.to_owned(),
+        time_bits: u64::from_str_radix(&field(""), 16).expect("time bits"),
+        messages: field("messages=").parse().expect("message count"),
+        hash: u64::from_str_radix(&field("hash="), 16).expect("hash"),
+    }
+}
+
+/// The fixture's cases for one property, checked to be exactly the
+/// `GOLDEN_CASES` cases it was captured with.
+fn golden_cases(property: &str) -> Vec<GoldenCase> {
+    let mut cases: Vec<GoldenCase> = Vec::new();
+    let mut lines = GOLDEN
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    while let Some(line) = lines.next() {
+        let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
+        if key == "case" {
+            cases.push(GoldenCase {
+                label: rest.to_owned(),
+                ..GoldenCase::default()
+            });
+            continue;
+        }
+        let case = cases.last_mut().expect("fixture starts with a case");
+        match key {
+            "machine" => {
+                let dsl: String = lines
+                    .by_ref()
+                    .take_while(|l| *l != "end")
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                case.machine = Some(topology::parse(&dsl).expect("golden machine parses"));
+            }
+            "root" => case.root = Some(ProcId(rest.parse().expect("root rank"))),
+            "workload" => {
+                case.workload = Some(match rest {
+                    "equal" => WorkloadPolicy::Equal,
+                    "balanced" => WorkloadPolicy::Balanced,
+                    other => panic!("unknown workload {other}"),
+                })
+            }
+            "op" => {
+                case.op = Some(match rest {
+                    "sum" => ReduceOp::Sum,
+                    "min" => ReduceOp::Min,
+                    "max" => ReduceOp::Max,
+                    other => panic!("unknown op {other}"),
+                })
+            }
+            "items" => case.items = parse_hex(rest),
+            "vector" => case.vectors.push(parse_hex(rest)),
+            "blocks" => case.blocks.push(rest.split(';').map(parse_hex).collect()),
+            "row" => case.rows.push(parse_row(rest)),
+            other => panic!("unknown fixture line `{other}`"),
+        }
+    }
+    let prefix = format!("{property} ");
+    cases.retain(|c| c.label.starts_with(&prefix));
+    let labels: Vec<&str> = cases.iter().map(|c| c.label.as_str()).collect();
+    let want: Vec<String> = (0..GOLDEN_CASES)
+        .map(|i| format!("{property} {i}"))
+        .collect();
+    assert_eq!(labels, want, "fixture must hold every {property} case");
+    cases
+}
+
+/// The schedule interpreter's gather is the hand-written gather: same
+/// simulated time, same message count, same gathered array.
+#[test]
+fn gather_interpreter_matches_the_handwritten_programs() {
+    for case in golden_cases("gather") {
+        let (m, root, workload) = (case.machine(), case.root(), case.workload());
+        let p = m.num_procs();
+        let mut runs = Vec::new();
+        // Flat with an explicit root, then hierarchical: coordinators
+        // forward bundles level by level up to the fastest processor.
+        for (name, root, strategy) in [
+            ("flat", RootPolicy::Rank(root.0), PlanStrategy::Flat),
+            ("hier", RootPolicy::Fastest, PlanStrategy::Hierarchical),
+        ] {
+            let plan = GatherPlan {
+                root,
+                workload,
+                strategy,
+            };
+            let out = simulate_gather(m, &case.items, plan).expect("gather runs");
+            let results = only_at(p, out.root, &out.result);
+            runs.push(run(name, out.time, out.sim.messages_delivered, results));
+        }
+        case.check(&runs);
+    }
+}
+
+/// The interpreter's broadcast is the hand-written broadcast, for
+/// every strategy and phase combination.
+#[test]
+fn broadcast_interpreter_matches_the_handwritten_programs() {
+    const PHASES: [(PhasePolicy, &str); 2] = [
+        (PhasePolicy::OnePhase, "one"),
+        (PhasePolicy::TwoPhase, "two"),
+    ];
+    for case in golden_cases("broadcast") {
+        let (m, root, workload) = (case.machine(), case.root(), case.workload());
+        let mut plans = Vec::new();
+        for (phase, pn) in PHASES {
+            let plan = BroadcastPlan {
+                root: RootPolicy::Rank(root.0),
+                strategy: PlanStrategy::Flat,
+                top_phase: phase,
+                cluster_phase: phase,
+                workload,
+            };
+            plans.push((format!("flat {pn}"), plan));
+        }
+        for (top, tn) in PHASES {
+            for (cluster, cn) in PHASES {
+                let plan = BroadcastPlan {
+                    root: RootPolicy::Fastest,
+                    strategy: PlanStrategy::Hierarchical,
+                    top_phase: top,
+                    cluster_phase: cluster,
+                    workload,
+                };
+                plans.push((format!("hier {tn} {cn}"), plan));
+            }
+        }
+        let runs: Vec<Run> = plans
+            .into_iter()
+            .map(|(name, plan)| {
+                // `simulate_broadcast` checks that every processor ends
+                // with the full array it returns.
+                let out = simulate_broadcast(m, &case.items, plan).expect("broadcast runs");
+                let results = everywhere(m.num_procs(), &out.result);
+                run(name, out.time, out.sim.messages_delivered, results)
+            })
+            .collect();
+        case.check(&runs);
+    }
+}
+
+/// Scatter and all-gather, the two halves of the two-phase design.
+#[test]
+fn scatter_and_allgather_interpreters_match() {
+    for case in golden_cases("scatter_allgather") {
+        let (m, root, workload) = (case.machine(), case.root(), case.workload());
+        let scatter = simulate_scatter(m, &case.items, RootPolicy::Rank(root.0), workload)
+            .expect("scatter runs");
+        let pieces = scatter
+            .pieces
+            .iter()
+            .map(|piece| vec![vec![piece.offset], piece.items.clone()])
+            .collect();
+        // `simulate_allgather` checks that every processor ends with the
+        // full array it returns.
+        let allgather = simulate_allgather(m, &case.items, workload, PlanStrategy::Flat)
+            .expect("allgather runs");
+        case.check(&[
+            run(
+                "scatter",
+                scatter.time,
+                scatter.sim.messages_delivered,
+                pieces,
+            ),
+            run(
+                "allgather",
+                allgather.time,
+                allgather.sim.messages_delivered,
+                everywhere(m.num_procs(), &allgather.result),
+            ),
+        ]);
+    }
+}
+
+/// Total exchange, flat and staged through coordinators.
+#[test]
+fn alltoall_interpreters_match() {
+    for case in golden_cases("alltoall") {
+        let m = case.machine();
+        let flat = simulate_alltoall(m, case.blocks.clone()).expect("alltoall runs");
+        let staged = simulate_alltoall_hier(m, case.blocks.clone()).expect("alltoall runs");
+        case.check(&[
+            run(
+                "flat",
+                flat.time,
+                flat.sim.messages_delivered,
+                flat.received,
+            ),
+            // The staged variant moves the same bytes through the same
+            // relays, but the legacy program fanned out stage-3 pieces
+            // in message-arrival order while the schedule posts them
+            // per member — identical traffic, slightly different NIC
+            // pipelining, so times agree only to within a fraction of a
+            // percent.
+            Run {
+                tolerance: Some(0.01),
+                ..run(
+                    "staged",
+                    staged.time,
+                    staged.sim.messages_delivered,
+                    staged.received,
+                )
+            },
+        ]);
+    }
+}
+
+/// Reduce (both strategies) and scan, including the interpreter's
+/// combine-work charges.
+#[test]
+fn reduce_and_scan_interpreters_match() {
+    for case in golden_cases("reduce_scan") {
+        let (m, root) = (case.machine(), case.root());
+        let op = case.op.expect("case records an op");
+        let p = m.num_procs();
+        let mut runs = Vec::new();
+        for (name, root, strategy) in [
+            ("flat", RootPolicy::Rank(root.0), PlanStrategy::Flat),
+            ("hier", RootPolicy::Fastest, PlanStrategy::Hierarchical),
+        ] {
+            let out =
+                simulate_reduce(m, case.vectors.clone(), op, root, strategy).expect("reduce runs");
+            let results = only_at(p, out.root, &out.result);
+            runs.push(run(name, out.time, out.sim.messages_delivered, results));
+        }
+        let scan = simulate_scan(m, case.vectors.clone(), op).expect("scan runs");
+        let prefixes = scan.prefixes.iter().map(|v| vec![v.clone()]).collect();
+        runs.push(run(
+            "scan",
+            scan.time,
+            scan.sim.messages_delivered,
+            prefixes,
+        ));
+        case.check(&runs);
+    }
 }
 
 /// Reassemble origin-tagged pieces into the global array.
@@ -332,229 +703,6 @@ fn assemble(pieces: &[Piece]) -> Vec<u32> {
 
 fn arb_items() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(any::<u32>(), 1..400)
-}
-
-fn arb_op() -> impl Strategy<Value = ReduceOp> {
-    prop_oneof![
-        Just(ReduceOp::Sum),
-        Just(ReduceOp::Min),
-        Just(ReduceOp::Max)
-    ]
-}
-
-/// A machine plus one equal-length vector per processor (reduce/scan).
-fn arb_machine_vectors() -> impl Strategy<Value = (MachineTree, Vec<Vec<u32>>)> {
-    (common::arb_machine(), 1usize..12).prop_flat_map(|(m, len)| {
-        let p = m.num_procs();
-        let vectors = proptest::collection::vec(proptest::collection::vec(any::<u32>(), len), p);
-        (Just(m), vectors)
-    })
-}
-
-/// A machine plus a p×p matrix of variable-size blocks (alltoall).
-fn arb_machine_blocks() -> impl Strategy<Value = (MachineTree, Vec<Vec<Vec<u32>>>)> {
-    common::arb_machine().prop_flat_map(|m| {
-        let p = m.num_procs();
-        let blocks = proptest::collection::vec(
-            proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..5), p),
-            p,
-        );
-        (Just(m), blocks)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Satellite 3b: the schedule interpreter's gather is the
-    /// hand-written gather — same bytes on the wire, same simulated
-    /// time, same message count, same gathered array.
-    #[test]
-    fn gather_interpreter_matches_the_handwritten_programs(
-        m in common::arb_machine(),
-        items in arb_items(),
-        root_sel in 0usize..64,
-        workload in prop_oneof![Just(WorkloadPolicy::Equal), Just(WorkloadPolicy::Balanced)],
-    ) {
-        let root = ProcId((root_sel % m.num_procs()) as u32);
-        let shares = Arc::new(shares_for(&m, &items, workload));
-
-        // Flat, explicit root.
-        let (out, states) = run_legacy(&m, &FlatGather::new(root, Arc::clone(&shares)));
-        let plan = GatherPlan {
-            root: RootPolicy::Rank(root.0),
-            workload,
-            strategy: PlanStrategy::Flat,
-        };
-        let run = simulate_gather(&m, &items, plan).expect("gather runs");
-        prop_assert_eq!(run.root, root);
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&run.result, &items);
-        prop_assert_eq!(assemble(states[root.rank()].pieces()), items.clone());
-
-        // Hierarchical: coordinators forward bundles level by level.
-        let (out, states) = run_legacy(&m, &HierarchicalGather::new(shares));
-        let plan = GatherPlan {
-            root: RootPolicy::Fastest,
-            workload,
-            strategy: PlanStrategy::Hierarchical,
-        };
-        let run = simulate_gather(&m, &items, plan).expect("gather runs");
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&run.result, &items);
-        prop_assert_eq!(assemble(states[run.root.rank()].pieces()), items);
-    }
-
-    /// The interpreter's broadcast is the hand-written broadcast, for
-    /// every strategy and phase combination.
-    #[test]
-    fn broadcast_interpreter_matches_the_handwritten_programs(
-        m in common::arb_machine(),
-        items in arb_items(),
-        root_sel in 0usize..64,
-        workload in prop_oneof![Just(WorkloadPolicy::Equal), Just(WorkloadPolicy::Balanced)],
-    ) {
-        let root = ProcId((root_sel % m.num_procs()) as u32);
-        let arc_items = Arc::new(items.clone());
-
-        for phase in [PhasePolicy::OnePhase, PhasePolicy::TwoPhase] {
-            let (out, states) = run_legacy(
-                &m,
-                &FlatBroadcast::new(root, phase, workload, Arc::clone(&arc_items)),
-            );
-            let plan = BroadcastPlan {
-                root: RootPolicy::Rank(root.0),
-                strategy: PlanStrategy::Flat,
-                top_phase: phase,
-                cluster_phase: phase,
-                workload,
-            };
-            let run = simulate_broadcast(&m, &items, plan).expect("broadcast runs");
-            prop_assert_eq!(run.time, out.total_time, "flat {:?}", phase);
-            prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-            prop_assert_eq!(&run.result, &items);
-            for st in &states {
-                prop_assert_eq!(st.full.as_ref(), Some(&items));
-            }
-        }
-
-        for top in [PhasePolicy::OnePhase, PhasePolicy::TwoPhase] {
-            for cluster in [PhasePolicy::OnePhase, PhasePolicy::TwoPhase] {
-                let (out, states) = run_legacy(
-                    &m,
-                    &HierarchicalBroadcast::new(top, cluster, workload, Arc::clone(&arc_items)),
-                );
-                let plan = BroadcastPlan {
-                    root: RootPolicy::Fastest,
-                    strategy: PlanStrategy::Hierarchical,
-                    top_phase: top,
-                    cluster_phase: cluster,
-                    workload,
-                };
-                let run = simulate_broadcast(&m, &items, plan).expect("broadcast runs");
-                prop_assert_eq!(run.time, out.total_time, "hier {:?}+{:?}", top, cluster);
-                prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-                for st in &states {
-                    prop_assert_eq!(st.full.as_ref(), Some(&items));
-                }
-            }
-        }
-    }
-
-    /// Scatter and all-gather, the two halves of the two-phase design.
-    #[test]
-    fn scatter_and_allgather_interpreters_match(
-        m in common::arb_machine(),
-        items in arb_items(),
-        root_sel in 0usize..64,
-        workload in prop_oneof![Just(WorkloadPolicy::Equal), Just(WorkloadPolicy::Balanced)],
-    ) {
-        let root = ProcId((root_sel % m.num_procs()) as u32);
-        let shares = Arc::new(shares_for(&m, &items, workload));
-
-        let (out, states) = run_legacy(&m, &Scatter::new(root, Arc::clone(&shares)));
-        let run = simulate_scatter(&m, &items, RootPolicy::Rank(root.0), workload)
-            .expect("scatter runs");
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        for (j, st) in states.iter().enumerate() {
-            prop_assert_eq!(st.as_ref(), Some(&run.pieces[j]));
-        }
-
-        let (out, states) = run_legacy(&m, &FlatAllGather::new(shares));
-        let run = simulate_allgather(&m, &items, workload, PlanStrategy::Flat)
-            .expect("allgather runs");
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&run.result, &items);
-        for st in &states {
-            prop_assert_eq!(st, &items);
-        }
-    }
-
-    /// Total exchange, flat and staged through coordinators.
-    #[test]
-    fn alltoall_interpreters_match((m, blocks) in arb_machine_blocks()) {
-        let arc_blocks = Arc::new(blocks.clone());
-
-        let (out, states) = run_legacy(&m, &AllToAll::new(Arc::clone(&arc_blocks)));
-        let run = simulate_alltoall(&m, blocks.clone()).expect("alltoall runs");
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&states, &run.received);
-
-        // The staged variant moves the same bytes through the same
-        // relays, but the legacy program fanned out stage-3 pieces in
-        // message-arrival order while the schedule posts them per
-        // member — identical traffic, slightly different NIC
-        // pipelining, so times agree only to within a fraction of a
-        // percent.
-        let (out, states) = run_legacy(&m, &HierarchicalAllToAll::new(arc_blocks));
-        let run = simulate_alltoall_hier(&m, blocks).expect("alltoall runs");
-        prop_assert!(
-            (run.time - out.total_time).abs() <= 0.01 * out.total_time.max(1.0),
-            "staged alltoall time {} vs legacy {}",
-            run.time,
-            out.total_time
-        );
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&states, &run.received);
-    }
-
-    /// Reduce (both strategies) and scan, including the interpreter's
-    /// combine-work charges.
-    #[test]
-    fn reduce_and_scan_interpreters_match(
-        (m, vectors) in arb_machine_vectors(),
-        op in arb_op(),
-        root_sel in 0usize..64,
-    ) {
-        let root = ProcId((root_sel % m.num_procs()) as u32);
-        let arc_vectors = Arc::new(vectors.clone());
-
-        let (out, states) = run_legacy(&m, &FlatReduce::new(root, op, Arc::clone(&arc_vectors)));
-        let run = simulate_reduce(&m, vectors.clone(), op, RootPolicy::Rank(root.0), PlanStrategy::Flat)
-            .expect("reduce runs");
-        prop_assert_eq!(run.root, root);
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&states[root.rank()], &run.result);
-
-        let (out, states) = run_legacy(&m, &HierarchicalReduce::new(op, Arc::clone(&arc_vectors)));
-        let run = simulate_reduce(&m, vectors.clone(), op, RootPolicy::Fastest, PlanStrategy::Hierarchical)
-            .expect("reduce runs");
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&states[run.root.rank()], &run.result);
-
-        let (out, states) = run_legacy(&m, &Scan::new(op, arc_vectors));
-        let run = simulate_scan(&m, vectors, op).expect("scan runs");
-        prop_assert_eq!(run.time, out.total_time);
-        prop_assert_eq!(run.sim.messages_delivered, out.messages_delivered);
-        prop_assert_eq!(&states, &run.prefixes);
-    }
 }
 
 proptest! {
@@ -575,9 +723,7 @@ proptest! {
             workload: WorkloadPolicy::Equal,
             strategy: if hier { PlanStrategy::Hierarchical } else { PlanStrategy::Flat },
         };
-        let (sched, root) = lower_gather(&m, items.len() as u64, plan).expect("plan lowers");
-        let init = share_inits(&m, &items, plan.workload);
-        let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+        let (prog, root) = gather_program(&m, &items, plan).expect("plan lowers");
         let tree = Arc::new(m.clone());
 
         let (sim_out, sim_states) =
