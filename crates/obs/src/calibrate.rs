@@ -397,6 +397,22 @@ pub fn calibrate_robust(
 mod tests {
     use super::*;
 
+    /// Per-processor inputs of a synthetic step, one entry per proc.
+    struct Procs<'a> {
+        work: &'a [f64],
+        speeds: &'a [f64],
+        rs: &'a [f64],
+        words: &'a [u64],
+    }
+
+    /// One unit-speed, unit-r processor computing 1 and sending 4 words.
+    const ONE_PROC: Procs<'static> = Procs {
+        work: &[1.0],
+        speeds: &[1.0],
+        rs: &[1.0],
+        words: &[4],
+    };
+
     /// Build a synthetic barriered step consistent with parameters
     /// `g`, `L`, per-proc speed and r: proc i computes `work/speed`,
     /// sends for `r·g·words`, and the step lasts `w + g·h + L`.
@@ -406,12 +422,15 @@ mod tests {
         g: f64,
         l: f64,
         h: f64,
-        work: &[f64],
-        speeds: &[f64],
-        rs: &[f64],
-        words: &[u64],
+        procs: &Procs,
         t0: f64,
     ) -> StepTrace {
+        let Procs {
+            work,
+            speeds,
+            rs,
+            words,
+        } = *procs;
         let p = work.len();
         let starts = vec![t0; p];
         let compute_done: Vec<f64> = (0..p).map(|i| t0 + work[i] / speeds[i]).collect();
@@ -453,7 +472,13 @@ mod tests {
             let l = if level == 1 { l1 } else { l2 };
             let work = [30.0, 20.0, 10.0];
             let words = [50u64, 20, 5];
-            let st = synth_step(i, level, g, l, h, &work, &speeds, &rs, &words, t0);
+            let procs = Procs {
+                work: &work,
+                speeds: &speeds,
+                rs: &rs,
+                words: &words,
+            };
+            let st = synth_step(i, level, g, l, h, &procs, t0);
             t0 = st.releases()[0];
             steps.push(st);
         }
@@ -475,7 +500,7 @@ mod tests {
 
     #[test]
     fn under_determined_fit_is_an_error() {
-        let st = synth_step(0, 1, 1.0, 5.0, 10.0, &[1.0], &[1.0], &[1.0], &[4], 0.0);
+        let st = synth_step(0, 1, 1.0, 5.0, 10.0, &ONE_PROC, 0.0);
         // One step, two unknowns (g and L[1]).
         let err = calibrate(&[st]).unwrap_err();
         assert!(err.contains("under-determined"), "{err}");
@@ -495,18 +520,13 @@ mod tests {
             .enumerate()
         {
             let l = if level == 1 { l1 } else { l2 };
-            let st = synth_step(
-                i,
-                level,
-                g,
-                l + extra_l[i],
-                h,
-                &[30.0, 20.0, 10.0],
-                &speeds,
-                &rs,
-                &[50u64, 20, 5],
-                t0,
-            );
+            let procs = Procs {
+                work: &[30.0, 20.0, 10.0],
+                speeds: &speeds,
+                rs: &rs,
+                words: &[50, 20, 5],
+            };
+            let st = synth_step(i, level, g, l + extra_l[i], h, &procs, t0);
             t0 = st.releases()[0];
             steps.push(st);
         }
@@ -572,18 +592,13 @@ mod tests {
     fn proc_estimates_work_without_a_gl_fit() {
         // Constant-h window: calibrate() fails, proc_estimates still
         // recovers speeds and r against a believed g.
-        let a = synth_step(
-            0,
-            1,
-            2.0,
-            5.0,
-            10.0,
-            &[4.0, 4.0],
-            &[1.0, 0.5],
-            &[1.0, 3.0],
-            &[8, 8],
-            0.0,
-        );
+        let procs = Procs {
+            work: &[4.0, 4.0],
+            speeds: &[1.0, 0.5],
+            rs: &[1.0, 3.0],
+            words: &[8, 8],
+        };
+        let a = synth_step(0, 1, 2.0, 5.0, 10.0, &procs, 0.0);
         let mut b = a.clone();
         b.step = 1;
         let steps = vec![a, b];
@@ -599,7 +614,7 @@ mod tests {
     fn constant_h_cannot_separate_g_from_l() {
         // Two steps with identical h and level: infinitely many (g, L)
         // fit; the normal equations are singular.
-        let a = synth_step(0, 1, 1.0, 5.0, 10.0, &[1.0], &[1.0], &[1.0], &[4], 0.0);
+        let a = synth_step(0, 1, 1.0, 5.0, 10.0, &ONE_PROC, 0.0);
         let mut b = a.clone();
         b.step = 1;
         assert!(calibrate(&[a, b]).is_err());

@@ -3,7 +3,7 @@
 use crate::job::JobId;
 use hbsp_check::Violation;
 use hbsp_collectives::schedule::ScheduleState;
-use hbsp_collectives::{DecodeError, TuneError};
+use hbsp_collectives::DecodeError;
 use hbsp_core::{MachineId, NodeIdx, ProcId};
 use hbsp_obs::metrics::MetricSample;
 use hbsp_obs::{chrome_trace_with_causal, CausalSpan, DriftReport, JobSpan, PostmortemBundle};
@@ -191,8 +191,6 @@ pub enum SchedError {
         /// The job.
         job: JobId,
     },
-    /// Plan selection failed for a job on its carved machine.
-    Tune(JobId, TuneError),
     /// An engine rejected or failed the merged program. The attached
     /// [`PostmortemBundle`] (when the dying batch had telemetry)
     /// carries the batch's step records, events, metrics, the batch
@@ -241,7 +239,6 @@ impl fmt::Display for SchedError {
                 f,
                 "{job} submitted a custom schedule that is empty or has a non-final drain step"
             ),
-            SchedError::Tune(job, e) => write!(f, "{job}: plan selection failed: {e}"),
             SchedError::Exec(e, _) => write!(f, "engine error: {e}"),
         }
     }
