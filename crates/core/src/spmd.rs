@@ -257,10 +257,11 @@ impl MsgBatch {
 
     /// Cut message `i`'s payload to at most `max_bytes` (fault
     /// injection's truncation). An offset-table edit: the spare bytes
-    /// become an arena hole.
+    /// become an arena hole. A bound past `u32::MAX` keeps the whole
+    /// payload.
     pub fn truncate_payload(&mut self, i: usize, max_bytes: usize) {
         let m = &mut self.meta[i];
-        m.len = m.len.min(max_bytes as u32);
+        m.len = m.len.min(u32::try_from(max_bytes).unwrap_or(u32::MAX));
     }
 
     /// Copies of every message, in order (test/diagnostic convenience).
@@ -574,6 +575,17 @@ mod tests {
         fresh.push(ProcId(0), ProcId(1), 0, &[1; 4]);
         fresh.push(ProcId(2), ProcId(1), 0, &[3; 8]);
         assert_eq!(b, fresh);
+    }
+
+    #[test]
+    fn truncating_past_u32_max_keeps_the_payload_whole() {
+        let mut b = MsgBatch::new();
+        b.push(ProcId(0), ProcId(1), 0, &[5; 48]);
+        // 2^32 bytes used to wrap to a zero-byte bound.
+        b.truncate_payload(0, 1 << 32);
+        assert_eq!(b.get(0).payload, &[5; 48]);
+        b.truncate_payload(0, (1 << 32) + 3);
+        assert_eq!(b.get(0).payload.len(), 48);
     }
 
     #[test]

@@ -7,25 +7,25 @@
 //! * each thread writes its superstep contribution (charged work,
 //!   posted messages, outcome) into its own cache-line-padded
 //!   `ProcSlot` — no shared lock is taken between barriers;
-//! * the barrier's leader section gathers all slots, runs the shared
-//!   timing algebra, and *moves* every message into its receiver's
-//!   mailbox (payloads are never copied), batched so each mailbox is
-//!   locked exactly once per superstep;
-//! * run-level coordination state lives in a `LeaderState` mutex that
-//!   only the leader section locks (uncontended by construction), with
-//!   two atomics (`finished`, `failed`) publishing the step's verdict
-//!   to the released threads.
+//! * the barrier's leader section moves every slot's contribution, in
+//!   pid order, into the [`hbsp_sim::StepKernel`] — the same superstep
+//!   pipeline the simulator runs (fault gate, validation, timing,
+//!   telemetry, delivery order) — and deposits the kernel's
+//!   per-destination batches into the mailboxes, each locked exactly
+//!   once per superstep;
+//! * run-level coordination state (the kernel and the abort verdict)
+//!   lives in a `LeaderState` mutex that only the leader section and
+//!   the watchdog lock (uncontended by construction), with two atomics
+//!   (`finished`, `failed`) publishing the step's verdict to the
+//!   released threads.
 
 use crate::barrier::{lock_anyway, BarrierKind, StepBarrier};
 use crate::mailbox::Mailbox;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{hb_assert, site_ord, Instant, Mutex, UnsafeCell};
-use hbsp_core::{MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome};
-use hbsp_obs::{ObsEvent, Probe, StepRecord, StepWall};
-use hbsp_sim::step::{analyze_into, delivery_order_into, resolve_outcomes, StepAnalysis};
-use hbsp_sim::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
-use hbsp_sim::trace::{step_spans, ProcTimeline};
-use hbsp_sim::{FaultPlan, NetConfig, SimError, SimOutcome, StepStats};
+use hbsp_core::{MachineTree, MsgBatch, ProcEnv, ProcId, SpmdProgram, StepOutcome};
+use hbsp_obs::Probe;
+use hbsp_sim::{BodyCtx, FaultPlan, NetConfig, SimError, SimOutcome, StepKernel};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
@@ -133,133 +133,36 @@ struct SlotData {
     sends: MsgBatch,
     /// The step body's outcome; consumed by the leader.
     outcome: Option<StepOutcome>,
-    /// A contained panic, recorded with the step it happened in. Only
-    /// the *leader* (inside the barrier, when every thread of the
-    /// generation has arrived) translates these into the shared error —
-    /// publishing the error directly from the panicking thread would
-    /// let a racing peer observe it during the *previous* step's check
-    /// and exit before reaching the next barrier, stranding everyone
-    /// else there.
-    panicked: Option<usize>,
-    /// A scripted crash, recorded with the step it fired at. Like
-    /// `panicked`, only the leader translates it (into
-    /// [`SimError::ProcCrashed`], gathering *all* crashed ranks of the
-    /// step), for the same publication-order reason.
-    crashed: Option<usize>,
+    /// The current step's body panicked (contained). Only the *leader*
+    /// (inside the barrier, when every thread of the generation has
+    /// arrived) translates this into the shared error — publishing the
+    /// error directly from the panicking thread would let a racing peer
+    /// observe it during the *previous* step's check and exit before
+    /// reaching the next barrier, stranding everyone else there.
+    panicked: bool,
     /// Wall-clock body start of the current step (ns since the run
     /// began). Written by the owner thread only when a probe is
-    /// enabled; read by the leader when emitting a [`StepRecord`].
+    /// enabled; the leader hands it to the kernel's probe record.
     body_start_ns: u64,
     /// Wall-clock body end (barrier arrival) of the current step.
     body_end_ns: u64,
 }
 
 /// Run-level coordination state. Locked only inside the barrier's
-/// leader section (and once after the run), so the mutex is always
-/// uncontended — it exists to satisfy the borrow checker, not to
-/// arbitrate threads.
+/// leader section (and by the watchdog's abort path, and once after the
+/// run), so the mutex is always uncontended — it exists to satisfy the
+/// borrow checker, not to arbitrate threads.
 struct LeaderState {
-    /// Virtual release times feeding the next step.
-    starts: Vec<f64>,
-    /// Per-processor finish times of the latest step.
-    finish: Vec<f64>,
-    /// Accumulated per-step statistics.
-    steps: Vec<StepStats>,
-    delivered: u64,
-    /// Per-processor activity timelines, accumulated when tracing.
-    timelines: Option<Vec<ProcTimeline>>,
-    /// Set when the SPMD discipline is violated; threads bail out.
+    /// The shared superstep pipeline and everything it accumulates.
+    kernel: StepKernel,
+    /// Set when the run aborts; threads bail out.
     error: Option<SimError>,
-    // --- per-step scratch, reused so a steady-state superstep does no
-    // per-message heap allocation (the buffers grow once, then cycle).
-    /// Charged work gathered from the slots.
-    work: Vec<f64>,
-    /// Step outcomes gathered from the slots.
-    outcomes: Vec<StepOutcome>,
-    /// All posted messages of the step, gathered in pid order — the
-    /// exact posting order the simulator sees.
-    sends: MsgBatch,
-    /// Validated communication analysis of the step.
-    analysis: StepAnalysis,
-    /// Virtual-time decomposition of the step.
-    timing: StepTiming,
-    /// The timing algebra's internal queues.
-    timing_scratch: TimingScratch,
-    /// Delivery permutation of the step's messages.
-    order: Vec<usize>,
-    /// Per-destination delivery batches; each is swapped into its
-    /// receiver's mailbox and the receiver's drained buffer is swapped
-    /// back, so the same allocations circulate all run.
-    dests: Vec<MsgBatch>,
-    /// Probe-record assembly buffers, reused across steps so an
-    /// enabled probe costs no per-superstep allocation either.
-    emit: EmitScratch,
-}
-
-/// Reusable buffers for assembling a [`StepRecord`]: the probe-on
-/// path clears and refills these instead of allocating fresh vectors
-/// every superstep.
-#[derive(Default)]
-struct EmitScratch {
-    words: Vec<u64>,
-    messages: Vec<u64>,
-    sent: Vec<u64>,
-    body_start_ns: Vec<u64>,
-    body_end_ns: Vec<u64>,
-}
-
-impl LeaderState {
-    fn new(p: usize, trace: bool) -> Self {
-        LeaderState {
-            starts: vec![0.0; p],
-            finish: vec![0.0; p],
-            steps: Vec::new(),
-            delivered: 0,
-            timelines: trace.then(|| {
-                (0..p)
-                    .map(|i| ProcTimeline {
-                        pid: ProcId(i as u32),
-                        spans: Vec::new(),
-                    })
-                    .collect()
-            }),
-            error: None,
-            work: Vec::with_capacity(p),
-            outcomes: Vec::with_capacity(p),
-            sends: MsgBatch::new(),
-            analysis: StepAnalysis {
-                intents: Vec::new(),
-                traffic: Vec::new(),
-                hrelation: 0.0,
-            },
-            timing: StepTiming {
-                compute_done: Vec::new(),
-                send_done: Vec::new(),
-                messages: Vec::new(),
-                finish: Vec::new(),
-            },
-            timing_scratch: TimingScratch::default(),
-            order: Vec::new(),
-            dests: (0..p).map(|_| MsgBatch::new()).collect(),
-            emit: EmitScratch::default(),
-        }
-    }
 }
 
 impl ThreadedRuntime {
     /// Runtime with PVM-like default microcosts.
     pub fn new(tree: Arc<MachineTree>) -> Self {
-        ThreadedRuntime {
-            tree,
-            cfg: NetConfig::pvm_like(),
-            step_limit: 100_000,
-            barrier_kind: BarrierKind::default(),
-            trace: false,
-            check: cfg!(debug_assertions),
-            faults: FaultPlan::new(),
-            step_deadline: None,
-            probe: hbsp_obs::noop(),
-        }
+        ThreadedRuntime::with_config(tree, NetConfig::pvm_like())
     }
 
     /// Runtime with explicit microcosts.
@@ -283,6 +186,10 @@ impl ThreadedRuntime {
     /// produces *plus* wall-clock marks ([`StepWall`]) measured with
     /// `Instant`; watchdog aborts surface as [`ObsEvent`]s. When
     /// disabled nothing is assembled and the hot path is untouched.
+    ///
+    /// [`StepRecord`]: hbsp_obs::StepRecord
+    /// [`StepWall`]: hbsp_obs::StepWall
+    /// [`ObsEvent`]: hbsp_obs::ObsEvent
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
         self
@@ -353,7 +260,14 @@ impl ThreadedRuntime {
         &self,
         prog: &P,
     ) -> Result<(RunOutcome, Vec<P::State>), SimError> {
-        self.cfg.validate()?;
+        let kernel = StepKernel::new(
+            Arc::clone(&self.tree),
+            self.cfg.clone(),
+            self.faults.clone(),
+            Arc::clone(&self.probe),
+            self.trace,
+            None,
+        )?;
         if self.check {
             prog.preflight(&self.tree)
                 .map_err(|e| SimError::Preflight {
@@ -364,7 +278,10 @@ impl ThreadedRuntime {
         let barrier = StepBarrier::new(self.barrier_kind, &self.tree);
         let mailboxes: Vec<Mailbox> = (0..p).map(|_| Mailbox::new()).collect();
         let slots: Vec<ProcSlot> = (0..p).map(|_| ProcSlot::new()).collect();
-        let leader_state = Mutex::new(LeaderState::new(p, self.trace));
+        let leader_state = Mutex::new(LeaderState {
+            kernel,
+            error: None,
+        });
         let finished = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
         // Arrival board: rank `i` stores `step + 1` right before its
@@ -389,10 +306,7 @@ impl ThreadedRuntime {
                 let mailboxes = &mailboxes;
                 let slots = &slots;
                 let arrived = &arrived;
-                let tree = &self.tree;
-                let cfg = &self.cfg;
                 let faults = &self.faults;
-                let probe = &self.probe;
                 let observing = self.probe.enabled();
                 let step_limit = self.step_limit;
                 let user_deadline = self.step_deadline;
@@ -414,7 +328,6 @@ impl ThreadedRuntime {
                                         leader_state,
                                         mailboxes,
                                         failed,
-                                        &**probe,
                                     );
                                     break;
                                 }
@@ -427,15 +340,11 @@ impl ThreadedRuntime {
                             return Err(e);
                         }
 
-                        if faults.crashes(env.pid, step) {
-                            // Scripted crash: the body never runs. Mark
-                            // the slot and make one last barrier
-                            // arrival so the leader can diagnose every
-                            // crashed rank of the step at once.
-                            // SAFETY: this thread owns slot `i` outside
-                            // the leader section (ProcSlot protocol).
-                            unsafe { slots[i].slot() }.crashed = Some(step);
-                        } else {
+                        // Scripted crash: the body never runs. One last
+                        // barrier arrival lets the leader's kernel
+                        // diagnose every crashed rank of the step at
+                        // once.
+                        if !faults.crashes(env.pid, step) {
                             // Superstep body, in parallel with all
                             // peers. A panicking body must not strand
                             // the other threads at the barrier: contain
@@ -452,25 +361,19 @@ impl ThreadedRuntime {
                             // leader's next delivery batch, so the same
                             // allocations circulate all run.
                             mailboxes[i].take_into(&mut slot.inbox);
-                            let mut ctx = ThreadCtx {
-                                env: &env,
-                                inbox: &slot.inbox,
-                                outbox: &mut slot.sends,
-                                work: 0.0,
-                            };
+                            let mut ctx = BodyCtx::new(&env, &slot.inbox, &mut slot.sends);
                             let body =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     prog.step(step, &env, &mut state, &mut ctx)
                                 }));
-                            let work = ctx.work;
-                            slot.work = work;
+                            slot.work = ctx.work();
                             if observing {
                                 slot.body_end_ns = began.elapsed().as_nanos() as u64;
                             }
                             slot.outcome = Some(match body {
                                 Ok(o) => o,
                                 Err(_) => {
-                                    slot.panicked = Some(step);
+                                    slot.panicked = true;
                                     // Participate with a harmless
                                     // outcome so the barrier still
                                     // completes.
@@ -514,14 +417,7 @@ impl ThreadedRuntime {
                                         .map(|j| ProcId(j as u32))
                                         .collect()
                                 };
-                                record_timeout(
-                                    missing,
-                                    step,
-                                    leader_state,
-                                    mailboxes,
-                                    failed,
-                                    &**probe,
-                                );
+                                record_timeout(missing, step, leader_state, mailboxes, failed);
                             },
                             || {
                                 let ok =
@@ -541,8 +437,8 @@ impl ThreadedRuntime {
                                             return;
                                         }
                                         leader_step(
-                                            tree, cfg, faults, mailboxes, slots, step, &mut ls,
-                                            finished, failed, &**probe, began,
+                                            &mut ls, mailboxes, slots, step, finished, failed,
+                                            began,
                                         );
                                     }));
                                 if ok.is_err() {
@@ -589,16 +485,9 @@ impl ThreadedRuntime {
         let ls = leader_state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        let total_time = ls.finish.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         Ok((
             RunOutcome {
-                virtual_outcome: SimOutcome {
-                    total_time,
-                    proc_finish: ls.finish,
-                    steps: ls.steps,
-                    messages_delivered: ls.delivered,
-                    timelines: ls.timelines,
-                },
+                virtual_outcome: ls.kernel.into_outcome(),
                 wall,
             },
             out_states,
@@ -623,19 +512,13 @@ fn record_timeout(
     leader_state: &Mutex<LeaderState>,
     mailboxes: &[Mailbox],
     failed: &AtomicBool,
-    probe: &dyn Probe,
 ) {
     let mut ls = lock_anyway(leader_state);
     if ls.error.is_none() {
         // First writer wins for the event too: the self-report fallback
         // runs the same path, and the firing must be counted once.
-        if probe.enabled() {
-            probe.on_event(&ObsEvent::WatchdogFired {
-                step,
-                missing: &missing,
-            });
-        }
-        ls.error = Some(SimError::BarrierTimeout { missing, step });
+        let error = ls.kernel.timeout(missing, step);
+        ls.error = Some(error);
     }
     drop(ls);
     for mb in mailboxes {
@@ -670,341 +553,59 @@ fn abort_step(
     failed.store(true, site_ord!("engine.failed.publish", Ordering::Release));
 }
 
-/// The per-superstep sequential coordination, identical in effect to
-/// one iteration of the simulator's main loop. Runs inside the
-/// barrier's leader section; `slots` are all leader-owned here (see
-/// [`ProcSlot`]).
-#[allow(clippy::too_many_arguments)]
+/// The per-superstep sequential coordination: move every slot's
+/// contribution into the shared [`StepKernel`] (pid order — the exact
+/// posting order the simulator sees), then deliver its per-destination
+/// batches, each mailbox locked exactly once (a batch pointer swap, in
+/// the common case). Runs inside the barrier's leader section; `slots`
+/// are all leader-owned here (see [`ProcSlot`]).
 fn leader_step(
-    tree: &MachineTree,
-    cfg: &NetConfig,
-    faults: &FaultPlan,
+    ls: &mut LeaderState,
     mailboxes: &[Mailbox],
     slots: &[ProcSlot],
     step: usize,
-    ls: &mut LeaderState,
     finished: &AtomicBool,
     failed: &AtomicBool,
-    probe: &dyn Probe,
     began: Instant,
 ) {
-    let p = tree.num_procs();
-    // Translate scripted crashes first — the simulator diagnoses a
-    // crash before any body runs, so a crash outranks a panic that
-    // happened in the same step's surviving bodies.
-    let mut crashed: Vec<ProcId> = Vec::new();
-    let mut crash_step = step;
-    for (i, slot) in slots.iter().enumerate().take(p) {
-        // SAFETY: leader section — the leader owns every slot.
-        if let Some(cstep) = unsafe { slot.slot() }.crashed {
-            crashed.push(ProcId(i as u32));
-            crash_step = cstep;
-        }
-    }
-    if !crashed.is_empty() {
-        abort_step(
-            SimError::ProcCrashed {
-                pids: crashed,
-                step: crash_step,
-            },
-            mailboxes,
-            slots,
-            ls,
-            failed,
-        );
-        return;
-    }
-    // Translate contained panics into the shared error now that every
-    // thread of this generation has arrived (lowest rank wins for
-    // determinism).
-    for i in 0..p {
-        // SAFETY: leader section — the leader owns every slot.
-        if let Some(pstep) = unsafe { slots[i].slot() }.panicked {
-            abort_step(
-                SimError::ProgramPanicked {
-                    pid: ProcId(i as u32),
-                    step: pstep,
-                },
-                mailboxes,
-                slots,
-                ls,
-                failed,
-            );
-            return;
-        }
-    }
-
-    // Gather contributions: flatten sends in pid order — the exact
-    // posting order the simulator sees when it runs processors
-    // sequentially. Each slot batch is bulk-moved (two appends) into
-    // the shared gather batch; payload bytes are copied once into the
-    // flat arena and never boxed per message.
-    ls.work.clear();
-    ls.outcomes.clear();
-    ls.sends.clear();
-    for s in slots.iter().take(p) {
-        // SAFETY: leader section — the leader owns every slot.
-        let slot = unsafe { s.slot() };
-        ls.work.push(slot.work);
-        slot.work = 0.0;
-        ls.sends.append(&mut slot.sends);
-        ls.outcomes
-            .push(slot.outcome.take().expect("all contributions in"));
-    }
-
-    // Network faults hit the posted messages before validation and
-    // costing, exactly like the simulator's per-step order.
-    faults.corrupt_batch(step, &mut ls.sends);
-
-    let scope = match resolve_outcomes(step, &ls.outcomes) {
-        Ok(s) => s,
-        Err(e) => {
-            abort_step(e, mailboxes, slots, ls, failed);
-            return;
-        }
-    };
-    if let Err(e) = analyze_into(tree, step, scope, &ls.sends, &mut ls.analysis) {
-        abort_step(e, mailboxes, slots, ls, failed);
-        return;
-    }
-    let r_scale = faults
-        .straggles_at(step)
-        .then(|| faults.r_multipliers(step, p));
-    superstep_timing_faulted_into(
-        tree,
-        cfg,
-        &ls.starts,
-        &ls.work,
-        &ls.analysis.intents,
-        r_scale.as_deref(),
-        &mut ls.timing_scratch,
-        &mut ls.timing,
-    );
-    let finish_max = ls
-        .timing
-        .finish
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let start_min = ls.starts.iter().cloned().fold(f64::INFINITY, f64::min);
-    let work_units: f64 = ls.work.iter().sum();
-
-    match scope {
-        None => {
-            {
-                let LeaderState {
-                    starts,
-                    timing,
-                    analysis,
-                    work,
-                    emit,
-                    ..
-                } = &mut *ls;
-                emit_step_record(
-                    probe,
-                    step,
-                    None,
-                    starts,
-                    timing,
-                    &timing.finish,
-                    analysis,
-                    work,
-                    slots,
-                    began,
-                    emit,
-                );
+    let clock = || began.elapsed().as_nanos() as u64;
+    let closed = ls.kernel.step(step, Some(&clock), |c, _| {
+        let mut panicked = None;
+        for (i, s) in slots.iter().enumerate() {
+            // SAFETY: leader section — the leader owns every slot.
+            let slot = unsafe { s.slot() };
+            if slot.panicked && panicked.is_none() {
+                panicked = Some(ProcId(i as u32));
             }
-            ls.steps.push(StepStats {
-                step,
-                scope: hbsp_core::SyncScope::global(tree),
-                start_min,
-                finish_max,
-                release_max: finish_max,
-                traffic: ls.analysis.traffic.clone(),
-                hrelation: ls.analysis.hrelation,
-                work_units,
-            });
-            if let Some(tls) = ls.timelines.as_mut() {
-                step_spans(tls, &ls.starts, &ls.timing, &ls.timing.finish);
-            }
-            ls.finish.clear();
-            let LeaderState { finish, timing, .. } = ls;
-            finish.extend_from_slice(&timing.finish);
-            finished.store(
-                true,
-                site_ord!("engine.finished.publish", Ordering::Release),
+            c.push(
+                std::mem::take(&mut slot.work),
+                slot.outcome.take().expect("all contributions in"),
+                &mut slot.sends,
+                (slot.body_start_ns, slot.body_end_ns),
             );
         }
-        Some(s) => {
-            let releases = barrier_release(tree, s, &ls.timing.finish);
-            let release_max = releases.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            if let Some(tls) = ls.timelines.as_mut() {
-                step_spans(tls, &ls.starts, &ls.timing, &releases);
-            }
-            {
-                let LeaderState {
-                    starts,
-                    timing,
-                    analysis,
-                    work,
-                    emit,
-                    ..
-                } = &mut *ls;
-                emit_step_record(
-                    probe,
-                    step,
-                    Some(s.level()),
-                    starts,
-                    timing,
-                    &releases,
-                    analysis,
-                    work,
-                    slots,
-                    began,
-                    emit,
-                );
-            }
-            ls.steps.push(StepStats {
-                step,
-                scope: s,
-                start_min,
-                finish_max,
-                release_max,
-                traffic: ls.analysis.traffic.clone(),
-                hrelation: ls.analysis.hrelation,
-                work_units,
-            });
-            // Deliver in (arrival, posting index) order: each message
-            // is one bounded byte-copy from the gather arena into its
-            // destination's flat batch — no per-message move loop over
-            // boxed payloads — and each mailbox is locked exactly once
-            // per superstep (a batch pointer swap, in the common case).
-            delivery_order_into(&ls.timing.messages, &mut ls.order);
-            for &mi in &ls.order {
-                let dst = ls.sends.get(mi).dst;
-                ls.dests[dst.rank()].push_from(&ls.sends, mi);
-                ls.delivered += 1;
-            }
-            for (q, batch) in ls.dests.iter_mut().enumerate().take(p) {
+        panicked
+    });
+    match closed {
+        Err(e) => abort_step(e, mailboxes, slots, ls, failed),
+        Ok(true) => finished.store(
+            true,
+            site_ord!("engine.finished.publish", Ordering::Release),
+        ),
+        Ok(false) => {
+            for (mailbox, batch) in mailboxes.iter().zip(ls.kernel.dests_mut()) {
                 if !batch.is_empty() {
-                    mailboxes[q].deposit_batch(batch);
+                    mailbox.deposit_batch(batch);
                 }
             }
-            ls.finish.clear();
-            let LeaderState { finish, timing, .. } = ls;
-            finish.extend_from_slice(&timing.finish);
-            ls.starts.clear();
-            ls.starts.extend_from_slice(&releases);
         }
-    }
-}
-
-/// Assemble and publish the superstep's telemetry record, pairing the
-/// shared virtual-time decomposition with this engine's wall-clock
-/// marks. Runs inside the leader section (the body marks in the slots
-/// are leader-readable there); when the probe is disabled nothing is
-/// assembled at all, and when it is enabled assembly refills the
-/// reused [`EmitScratch`] buffers — probe-on costs no per-superstep
-/// allocation either way.
-#[allow(clippy::too_many_arguments)]
-fn emit_step_record(
-    probe: &dyn Probe,
-    step: usize,
-    barrier: Option<hbsp_core::Level>,
-    starts: &[f64],
-    timing: &hbsp_sim::timing::StepTiming,
-    releases: &[f64],
-    analysis: &hbsp_sim::step::StepAnalysis,
-    work: &[f64],
-    slots: &[ProcSlot],
-    began: Instant,
-    scratch: &mut EmitScratch,
-) {
-    if !probe.enabled() {
-        return;
-    }
-    let p = starts.len();
-    scratch.words.clear();
-    scratch
-        .words
-        .extend(analysis.traffic.iter().map(|t| t.words));
-    scratch.messages.clear();
-    scratch
-        .messages
-        .extend(analysis.traffic.iter().map(|t| t.messages));
-    scratch.sent.clear();
-    scratch.sent.resize(p, 0);
-    for intent in &analysis.intents {
-        scratch.sent[intent.src.rank()] += intent.words;
-    }
-    scratch.body_start_ns.clear();
-    scratch.body_end_ns.clear();
-    for slot in slots.iter().take(p) {
-        // SAFETY: leader section — the leader owns every slot.
-        let slot = unsafe { slot.slot() };
-        scratch.body_start_ns.push(slot.body_start_ns);
-        scratch.body_end_ns.push(slot.body_end_ns);
-    }
-    probe.on_step(&StepRecord {
-        step,
-        barrier,
-        starts,
-        compute_done: &timing.compute_done,
-        send_done: &timing.send_done,
-        finish: &timing.finish,
-        releases,
-        words_by_level: &scratch.words,
-        messages_by_level: &scratch.messages,
-        hrelation: analysis.hrelation,
-        work,
-        sent_words: &scratch.sent,
-        wall: Some(StepWall {
-            body_start_ns: &scratch.body_start_ns,
-            body_end_ns: &scratch.body_end_ns,
-            leader_done_ns: began.elapsed().as_nanos() as u64,
-        }),
-    });
-}
-
-/// The runtime's per-processor superstep context: reads the thread's
-/// drained inbox batch, writes sends directly into the thread's slot
-/// batch — no per-message allocation on either side.
-struct ThreadCtx<'a> {
-    env: &'a ProcEnv,
-    inbox: &'a MsgBatch,
-    outbox: &'a mut MsgBatch,
-    work: f64,
-}
-
-impl SpmdContext for ThreadCtx<'_> {
-    fn pid(&self) -> ProcId {
-        self.env.pid
-    }
-    fn nprocs(&self) -> usize {
-        self.env.nprocs
-    }
-    fn tree(&self) -> &MachineTree {
-        &self.env.tree
-    }
-    fn messages(&self) -> &MsgBatch {
-        self.inbox
-    }
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
-        self.outbox.push_with(self.env.pid, dst, tag, len, fill);
-    }
-    fn charge(&mut self, units: f64) {
-        assert!(
-            units >= 0.0 && units.is_finite(),
-            "charged work must be finite and non-negative"
-        );
-        self.work += units;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::{Message, SyncScope, TreeBuilder};
+    use hbsp_core::{Message, SpmdContext, SyncScope, TreeBuilder};
     use hbsp_sim::Simulator;
 
     /// Total-exchange program: every processor sends its pid (as bytes)
@@ -1168,20 +769,27 @@ mod tests {
                 StepOutcome::Continue(SyncScope::global(&tree))
             });
         }
-        let mut ls = LeaderState::new(p, false);
+        let mut ls = LeaderState {
+            kernel: StepKernel::new(
+                Arc::clone(&tree),
+                NetConfig::pvm_like(),
+                FaultPlan::new(),
+                hbsp_obs::noop(),
+                false,
+                None,
+            )
+            .unwrap(),
+            error: None,
+        };
         let finished = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
         leader_step(
-            &tree,
-            &NetConfig::pvm_like(),
-            &FaultPlan::new(),
+            &mut ls,
             &mailboxes,
             &slots,
             3,
-            &mut ls,
             &finished,
             &failed,
-            &hbsp_obs::NoopProbe,
             Instant::now(),
         );
         assert!(failed.load(Ordering::Acquire));
@@ -1358,6 +966,29 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, sim_err);
         assert!(matches!(err, SimError::BarrierTimeout { step: 1, .. }));
+    }
+
+    #[test]
+    fn faults_on_ranks_the_machine_lacks_are_refused_by_both_engines() {
+        let tree = Arc::new(TreeBuilder::homogeneous(1.0, 20.0, 4).unwrap());
+        let prog = Exchange { rounds: 4 };
+        for (plan, step) in [
+            (FaultPlan::new().crash(ProcId(99), 0), 0),
+            (FaultPlan::new().stall(ProcId(99), 1), 1),
+        ] {
+            let want = SimError::NoSuchFaultTarget {
+                pid: ProcId(99),
+                step,
+            };
+            let sim = Simulator::new(Arc::clone(&tree))
+                .faults(plan.clone())
+                .run(&prog);
+            assert_eq!(sim.unwrap_err(), want, "simulator, {plan:?}");
+            let thr = ThreadedRuntime::new(Arc::clone(&tree))
+                .faults(plan.clone())
+                .run(&prog);
+            assert_eq!(thr.unwrap_err(), want, "threads, {plan:?}");
+        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The simulation engine: executes an [`SpmdProgram`] superstep by
-//! superstep, computing model time with the [`crate::timing`] algebra.
+//! superstep, running each processor's body in pid order and closing
+//! every step with the shared [`StepKernel`] pipeline.
 
 use crate::config::NetConfig;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
+use crate::kernel::{proc_envs, run_bodies, StepKernel};
 use crate::stats::StepStats;
-use crate::step::{analyze_into, delivery_order_into, resolve_outcomes, StepAnalysis};
-use crate::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
-use crate::trace::{step_spans, ProcTimeline};
-use hbsp_core::{
-    MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
-};
-use hbsp_obs::{ObsEvent, Probe, StepRecord};
+use crate::trace::ProcTimeline;
+use hbsp_core::{MachineTree, SpmdProgram};
+use hbsp_obs::Probe;
 use std::sync::Arc;
 
 /// Result of a simulated program run.
@@ -85,16 +83,7 @@ pub struct Simulator {
 impl Simulator {
     /// Simulator with the PVM-like default microcosts.
     pub fn new(tree: Arc<MachineTree>) -> Self {
-        Simulator {
-            tree,
-            cfg: NetConfig::pvm_like(),
-            step_limit: 100_000,
-            trace: false,
-            check: cfg!(debug_assertions),
-            faults: FaultPlan::new(),
-            step_deadline: None,
-            probe: hbsp_obs::noop(),
-        }
+        Simulator::with_config(tree, NetConfig::pvm_like())
     }
 
     /// Simulator with explicit microcosts.
@@ -148,6 +137,9 @@ impl Simulator {
     /// schema the threaded runtime fills with wall-clock marks added)
     /// plus [`ObsEvent`]s for watchdog aborts; when disabled nothing
     /// is assembled.
+    ///
+    /// [`StepRecord`]: hbsp_obs::StepRecord
+    /// [`ObsEvent`]: hbsp_obs::ObsEvent
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
         self
@@ -180,231 +172,31 @@ impl Simulator {
         &self,
         prog: &P,
     ) -> Result<(SimOutcome, Vec<P::State>), SimError> {
-        self.cfg.validate()?;
+        let mut kernel = StepKernel::new(
+            Arc::clone(&self.tree),
+            self.cfg.clone(),
+            self.faults.clone(),
+            Arc::clone(&self.probe),
+            self.trace,
+            self.step_deadline,
+        )?;
         if self.check {
             prog.preflight(&self.tree)
                 .map_err(|e| SimError::Preflight {
                     message: e.to_string(),
                 })?;
         }
-        let p = self.tree.num_procs();
-        let envs: Vec<ProcEnv> = (0..p)
-            .map(|i| ProcEnv {
-                pid: ProcId(i as u32),
-                nprocs: p,
-                tree: Arc::clone(&self.tree),
-            })
-            .collect();
+        let envs = proc_envs(&self.tree);
         let mut states: Vec<P::State> = envs.iter().map(|e| prog.init(e)).collect();
-        let mut starts = vec![0.0f64; p];
-        // Persistent per-superstep buffers: once warmed to a program's
-        // steady-state message volume, the loop below performs no
-        // per-message heap allocation (asserted by the repo's
-        // counting-allocator test).
-        let mut inboxes: Vec<MsgBatch> = (0..p).map(|_| MsgBatch::new()).collect();
-        let mut sends = MsgBatch::new();
-        let mut work = vec![0.0f64; p];
-        let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(p);
-        let mut analysis = StepAnalysis {
-            intents: Vec::new(),
-            traffic: Vec::new(),
-            hrelation: 0.0,
-        };
-        let mut timing = StepTiming {
-            compute_done: Vec::new(),
-            send_done: Vec::new(),
-            finish: Vec::new(),
-            messages: Vec::new(),
-        };
-        let mut timing_scratch = TimingScratch::default();
-        let mut emit_scratch = EmitScratch::default();
-        let mut order: Vec<usize> = Vec::new();
-        let mut steps: Vec<StepStats> = Vec::new();
-        let mut delivered = 0u64;
-        let mut timelines: Option<Vec<ProcTimeline>> = self.trace.then(|| {
-            (0..p)
-                .map(|i| ProcTimeline {
-                    pid: ProcId(i as u32),
-                    spans: Vec::new(),
-                })
-                .collect()
-        });
-
         for step in 0..self.step_limit {
-            // Scripted faults fire in a fixed order shared with the
-            // threaded runtime: a stalled peer trips the watchdog
-            // before a crash can be diagnosed, and a crash is seen
-            // before any body runs.
-            let stalled = self.faults.stalled_at(step);
-            if !stalled.is_empty() {
-                if self.probe.enabled() {
-                    self.probe.on_event(&ObsEvent::WatchdogFired {
-                        step,
-                        missing: &stalled,
-                    });
-                }
-                return Err(SimError::BarrierTimeout {
-                    missing: stalled,
-                    step,
-                });
-            }
-            let crashed = self.faults.crashed_at(step);
-            if !crashed.is_empty() {
-                return Err(SimError::ProcCrashed {
-                    pids: crashed,
-                    step,
-                });
-            }
-
-            // Run every processor's superstep body. All bodies post
-            // into one shared SoA outbox batch; running them in pid
-            // order keeps posting order identical to the threaded
-            // runtime's pid-ordered gather.
-            sends.clear();
-            outcomes.clear();
-            for i in 0..p {
-                let mut ctx = SimCtx {
-                    env: &envs[i],
-                    inbox: &inboxes[i],
-                    outbox: &mut sends,
-                    work: 0.0,
-                };
-                let outcome = prog.step(step, &envs[i], &mut states[i], &mut ctx);
-                work[i] = ctx.work;
-                outcomes.push(outcome);
-            }
-            for inbox in &mut inboxes {
-                inbox.clear();
-            }
-
-            // The network faults hit posted messages before validation
-            // and costing, exactly like the runtime's leader section.
-            self.faults.corrupt_batch(step, &mut sends);
-
-            // SPMD discipline + message validation (shared with the
-            // threaded runtime).
-            let scope = resolve_outcomes(step, &outcomes)?;
-            analyze_into(&self.tree, step, scope, &sends, &mut analysis)?;
-
-            // Timing, with any scripted stragglers inflating r.
-            let r_scale = self
-                .faults
-                .straggles_at(step)
-                .then(|| self.faults.r_multipliers(step, p));
-            superstep_timing_faulted_into(
-                &self.tree,
-                &self.cfg,
-                &starts,
-                &work,
-                &analysis.intents,
-                r_scale.as_deref(),
-                &mut timing_scratch,
-                &mut timing,
-            );
-            let finish_max = timing
-                .finish
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let start_min = starts.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hrelation = analysis.hrelation;
-
-            // Virtual-time mirror of the runtime's wall-clock step
-            // deadline: laggards past the budget are "missing".
-            if let Some(d) = self.step_deadline {
-                let missing: Vec<ProcId> = (0..p)
-                    .filter(|&i| timing.finish[i] > start_min + d)
-                    .map(|i| ProcId(i as u32))
-                    .collect();
-                if !missing.is_empty() {
-                    if self.probe.enabled() {
-                        self.probe.on_event(&ObsEvent::WatchdogFired {
-                            step,
-                            missing: &missing,
-                        });
-                    }
-                    return Err(SimError::BarrierTimeout { missing, step });
-                }
-            }
-
-            match scope {
-                None => {
-                    // Program over. Messages posted in the final step have
-                    // no next superstep to land in; count them as traffic
-                    // but they are never readable.
-                    self.emit_step_record(
-                        step,
-                        None,
-                        &starts,
-                        &timing,
-                        &timing.finish,
-                        &analysis,
-                        &work,
-                        &mut emit_scratch,
-                    );
-                    steps.push(StepStats {
-                        step,
-                        scope: SyncScope::global(&self.tree),
-                        start_min,
-                        finish_max,
-                        release_max: finish_max,
-                        traffic: analysis.traffic.clone(),
-                        hrelation,
-                        work_units: work.iter().sum(),
-                    });
-                    if let Some(tls) = &mut timelines {
-                        step_spans(tls, &starts, &timing, &timing.finish);
-                    }
-                    return Ok((
-                        SimOutcome {
-                            total_time: finish_max,
-                            proc_finish: std::mem::take(&mut timing.finish),
-                            steps,
-                            messages_delivered: delivered,
-                            timelines,
-                        },
-                        states,
-                    ));
-                }
-                Some(s) => {
-                    let releases = barrier_release(&self.tree, s, &timing.finish);
-                    if let Some(tls) = &mut timelines {
-                        step_spans(tls, &starts, &timing, &releases);
-                    }
-                    self.emit_step_record(
-                        step,
-                        Some(s.level()),
-                        &starts,
-                        &timing,
-                        &releases,
-                        &analysis,
-                        &work,
-                        &mut emit_scratch,
-                    );
-                    let release_max = releases.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    steps.push(StepStats {
-                        step,
-                        scope: s,
-                        start_min,
-                        finish_max,
-                        release_max,
-                        traffic: analysis.traffic.clone(),
-                        hrelation,
-                        work_units: work.iter().sum(),
-                    });
-                    // Deliver messages for the next superstep, ordered
-                    // by (arrival, posting index) per receiver: one
-                    // offset-table-guided bulk copy per message into
-                    // the receiver's persistent inbox arena — no
-                    // per-message allocation or `Vec` shuffling.
-                    delivery_order_into(&timing.messages, &mut order);
-                    for &mi in &order {
-                        let dst = sends.get(mi).dst;
-                        inboxes[dst.rank()].push_from(&sends, mi);
-                        delivered += 1;
-                    }
-                    starts = releases;
-                }
+            // Bodies run in pid order, reading the batches the kernel
+            // delivered last step; a body panic propagates to the caller.
+            let done = kernel.step(step, None, |c, inboxes| {
+                run_bodies(prog, step, &envs, &mut states, inboxes, c);
+                None
+            })?;
+            if done {
+                return Ok((kernel.into_outcome(), states));
             }
         }
         Err(SimError::StepLimit {
@@ -416,105 +208,12 @@ impl Simulator {
     pub fn run<P: SpmdProgram>(&self, prog: &P) -> Result<SimOutcome, SimError> {
         self.run_with_states(prog).map(|(o, _)| o)
     }
-
-    /// Assemble and emit one [`StepRecord`] — only when the probe asks
-    /// for it, refilling the reused scratch buffers so probe-on costs
-    /// no per-superstep allocation (the disabled path assembles
-    /// nothing at all).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_step_record(
-        &self,
-        step: usize,
-        barrier: Option<hbsp_core::Level>,
-        starts: &[f64],
-        timing: &crate::timing::StepTiming,
-        releases: &[f64],
-        analysis: &crate::step::StepAnalysis,
-        work: &[f64],
-        scratch: &mut EmitScratch,
-    ) {
-        if !self.probe.enabled() {
-            return;
-        }
-        scratch.words.clear();
-        scratch
-            .words
-            .extend(analysis.traffic.iter().map(|t| t.words));
-        scratch.messages.clear();
-        scratch
-            .messages
-            .extend(analysis.traffic.iter().map(|t| t.messages));
-        scratch.sent.clear();
-        scratch.sent.resize(starts.len(), 0);
-        for intent in &analysis.intents {
-            scratch.sent[intent.src.rank()] += intent.words;
-        }
-        self.probe.on_step(&StepRecord {
-            step,
-            barrier,
-            starts,
-            compute_done: &timing.compute_done,
-            send_done: &timing.send_done,
-            finish: &timing.finish,
-            releases,
-            words_by_level: &scratch.words,
-            messages_by_level: &scratch.messages,
-            hrelation: analysis.hrelation,
-            work,
-            sent_words: &scratch.sent,
-            wall: None,
-        });
-    }
-}
-
-/// Reusable probe-record assembly buffers (see `emit_step_record`).
-#[derive(Default)]
-struct EmitScratch {
-    words: Vec<u64>,
-    messages: Vec<u64>,
-    sent: Vec<u64>,
-}
-
-/// The simulator's per-processor superstep context: a read-only view
-/// of the processor's persistent inbox batch plus write access to the
-/// step's shared SoA outbox (bodies run sequentially, so pid order ==
-/// posting order).
-struct SimCtx<'a> {
-    env: &'a ProcEnv,
-    inbox: &'a MsgBatch,
-    outbox: &'a mut MsgBatch,
-    work: f64,
-}
-
-impl SpmdContext for SimCtx<'_> {
-    fn pid(&self) -> ProcId {
-        self.env.pid
-    }
-    fn nprocs(&self) -> usize {
-        self.env.nprocs
-    }
-    fn tree(&self) -> &MachineTree {
-        &self.env.tree
-    }
-    fn messages(&self) -> &MsgBatch {
-        self.inbox
-    }
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
-        self.outbox.push_with(self.env.pid, dst, tag, len, fill);
-    }
-    fn charge(&mut self, units: f64) {
-        assert!(
-            units >= 0.0 && units.is_finite(),
-            "charged work must be finite and non-negative"
-        );
-        self.work += units;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::TreeBuilder;
+    use hbsp_core::{ProcEnv, ProcId, SpmdContext, StepOutcome, SyncScope, TreeBuilder};
 
     /// Every processor sends its pid to the next rank for `rounds`
     /// supersteps, then checks what it received.

@@ -28,6 +28,10 @@ pub enum SimError {
     },
     /// A destination rank outside `0..nprocs`.
     NoSuchProc { step: usize, dst: ProcId },
+    /// A [`crate::FaultPlan`] scripts a fault (first in plan order) on
+    /// a rank outside `0..nprocs`. Rejected before any body runs, so
+    /// every engine refuses the same plan with the same value.
+    NoSuchFaultTarget { pid: ProcId, step: usize },
     /// The program exceeded the engine's superstep budget (runaway
     /// loop guard).
     StepLimit { limit: usize },
@@ -86,6 +90,10 @@ impl fmt::Display for SimError {
             SimError::NoSuchProc { step, dst } => {
                 write!(f, "superstep {step}: no such processor {dst}")
             }
+            SimError::NoSuchFaultTarget { pid, step } => write!(
+                f,
+                "fault plan targets {pid} at superstep {step}, but the machine has no such processor"
+            ),
             SimError::StepLimit { limit } => {
                 write!(f, "program exceeded the {limit}-superstep budget")
             }

@@ -400,7 +400,7 @@ impl FaultPlan {
                     continue;
                 }
                 if let Fault::Truncate { max_words, .. } = *f {
-                    sends.truncate_payload(i, max_words * 4);
+                    sends.truncate_payload(i, max_words.saturating_mul(4));
                 }
             }
         }
@@ -527,6 +527,20 @@ mod tests {
         // Wrong step: everything passes through unchanged.
         plan.corrupt_batch(0, &mut sends);
         assert_eq!(sends, pristine);
+    }
+
+    #[test]
+    fn huge_truncations_saturate_instead_of_overflowing() {
+        // 2^62 words is 2^64 bytes: the byte bound used to overflow
+        // (a panic in debug builds, a zero-byte cut in release ones).
+        // 2^30 words is 2^32 bytes, which used to wrap to zero.
+        for max_words in [1usize << 62, 1 << 30, usize::MAX] {
+            let plan = FaultPlan::new().truncate(ProcId(0), 0, max_words);
+            let mut sends = MsgBatch::new();
+            sends.push(ProcId(0), ProcId(1), 0, &[9; 48]);
+            plan.corrupt_batch(0, &mut sends);
+            assert_eq!(sends.get(0).payload, &[9; 48], "w{max_words}");
+        }
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //! reason the paper's Figure 3(a) finds a *slow* root preferable at
 //! `p = 2` (see `hbsp-bench`'s E1).
 //!
+//! Both engines run one superstep pipeline, the [`kernel::StepKernel`]:
+//! the [`Simulator`] drives it sequentially, the threaded runtime from
+//! its barrier's leader section, so their virtual-time outcomes, typed
+//! errors and telemetry agree by construction.
+//!
 //! Everything is deterministic: same program + machine + config ⇒ the
 //! same event order, times, and statistics, bit for bit.
 
@@ -34,6 +39,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod faults;
+pub mod kernel;
 pub mod model_engine;
 pub mod stats;
 pub mod step;
@@ -45,6 +51,7 @@ pub use engine::{SimOutcome, Simulator};
 pub use error::SimError;
 pub use event::TimeQueue;
 pub use faults::{Fault, FaultPlan, SplitMix64};
+pub use kernel::{BodyCtx, Contributions, StepKernel};
 pub use model_engine::ModelEvaluator;
 pub use stats::{LevelTraffic, StepStats};
 pub use step::{analyze, delivery_order, resolve_outcomes, StepAnalysis};

@@ -21,11 +21,9 @@
 //! simulator's microcost times.
 
 use crate::error::SimError;
+use crate::kernel::{proc_envs, run_bodies, Contributions};
 use crate::step::{analyze, resolve_outcomes};
-use hbsp_core::{
-    CostReport, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
-    SuperstepCost, SyncScope,
-};
+use hbsp_core::{CostReport, MachineTree, MsgBatch, SpmdProgram, SuperstepCost, SyncScope};
 use std::sync::Arc;
 
 /// Evaluates programs under the pure HBSP^k cost model.
@@ -55,41 +53,28 @@ impl ModelEvaluator {
         &self,
         prog: &P,
     ) -> Result<(CostReport, Vec<P::State>), SimError> {
-        let p = self.tree.num_procs();
-        let envs: Vec<ProcEnv> = (0..p)
-            .map(|i| ProcEnv {
-                pid: ProcId(i as u32),
-                nprocs: p,
-                tree: Arc::clone(&self.tree),
-            })
-            .collect();
+        let envs = proc_envs(&self.tree);
         let mut states: Vec<P::State> = envs.iter().map(|e| prog.init(e)).collect();
-        let mut inboxes: Vec<MsgBatch> = (0..p).map(|_| MsgBatch::new()).collect();
-        let mut sends = MsgBatch::new();
+        let mut inboxes: Vec<MsgBatch> = envs.iter().map(|_| MsgBatch::new()).collect();
+        let mut c = Contributions::default();
         let mut report = CostReport::new();
 
         for step in 0..self.step_limit {
-            sends.clear();
-            let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(p);
-            // The paper's w_i: the largest local computation, at each
-            // machine's own speed.
-            let mut w_max = 0.0f64;
-            for i in 0..p {
-                let mut ctx = ModelCtx {
-                    env: &envs[i],
-                    inbox: &inboxes[i],
-                    outbox: &mut sends,
-                    work: 0.0,
-                };
-                let outcome = prog.step(step, &envs[i], &mut states[i], &mut ctx);
-                w_max = w_max.max(ctx.work / envs[i].speed());
-                outcomes.push(outcome);
-            }
+            c.clear();
+            run_bodies(prog, step, &envs, &mut states, &inboxes, &mut c);
             for inbox in &mut inboxes {
                 inbox.clear();
             }
-            let scope = resolve_outcomes(step, &outcomes)?;
-            let analysis = analyze(&self.tree, step, scope, &sends)?;
+            // The paper's w_i: the largest local computation, at each
+            // machine's own speed.
+            let w_max = c
+                .work
+                .iter()
+                .zip(&envs)
+                .map(|(w, env)| w / env.speed())
+                .fold(0.0f64, f64::max);
+            let scope = resolve_outcomes(step, &c.outcomes)?;
+            let analysis = analyze(&self.tree, step, scope, &c.sends)?;
 
             // L: the largest barrier cost among the scope's
             // participating clusters (zero for the final, barrier-less
@@ -112,9 +97,9 @@ impl ModelEvaluator {
                     // the model has no arrival times. Bodies run in pid
                     // order into one shared outbox, so posting order is
                     // already src-sorted.
-                    for i in 0..sends.len() {
-                        let dst = sends.get(i).dst;
-                        inboxes[dst.rank()].push_from(&sends, i);
+                    for i in 0..c.sends.len() {
+                        let dst = c.sends.get(i).dst;
+                        inboxes[dst.rank()].push_from(&c.sends, i);
                     }
                 }
             }
@@ -141,42 +126,10 @@ impl ModelEvaluator {
     }
 }
 
-struct ModelCtx<'a> {
-    env: &'a ProcEnv,
-    inbox: &'a MsgBatch,
-    outbox: &'a mut MsgBatch,
-    work: f64,
-}
-
-impl SpmdContext for ModelCtx<'_> {
-    fn pid(&self) -> ProcId {
-        self.env.pid
-    }
-    fn nprocs(&self) -> usize {
-        self.env.nprocs
-    }
-    fn tree(&self) -> &MachineTree {
-        &self.env.tree
-    }
-    fn messages(&self) -> &MsgBatch {
-        self.inbox
-    }
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
-        self.outbox.push_with(self.env.pid, dst, tag, len, fill);
-    }
-    fn charge(&mut self, units: f64) {
-        assert!(
-            units >= 0.0 && units.is_finite(),
-            "charged work must be finite and non-negative"
-        );
-        self.work += units;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::TreeBuilder;
+    use hbsp_core::{ProcEnv, ProcId, SpmdContext, StepOutcome, TreeBuilder};
 
     /// Everyone sends `words` to rank 0, then rank 0 counts.
     struct Funnel {

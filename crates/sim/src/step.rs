@@ -8,7 +8,7 @@ use crate::timing::{MsgTiming, SendIntent};
 use hbsp_core::{HRelation, MachineTree, MsgBatch, StepOutcome, SyncScope};
 
 /// The validated, cost-relevant view of one superstep's communication.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StepAnalysis {
     /// Per-message send intents in posting order.
     pub intents: Vec<SendIntent>,
@@ -92,11 +92,7 @@ pub fn analyze(
     scope: Option<SyncScope>,
     msgs: &MsgBatch,
 ) -> Result<StepAnalysis, SimError> {
-    let mut out = StepAnalysis {
-        intents: Vec::new(),
-        traffic: Vec::new(),
-        hrelation: 0.0,
-    };
+    let mut out = StepAnalysis::default();
     analyze_into(tree, step, scope, msgs, &mut out)?;
     Ok(out)
 }

@@ -59,7 +59,7 @@ pub struct MsgTiming {
 }
 
 /// Complete timing of one superstep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepTiming {
     /// Per-processor compute completion.
     pub compute_done: Vec<f64>,
@@ -103,12 +103,7 @@ pub fn superstep_timing_faulted(
     r_scale: Option<&[f64]>,
 ) -> StepTiming {
     let mut scratch = TimingScratch::default();
-    let mut out = StepTiming {
-        compute_done: Vec::new(),
-        send_done: Vec::new(),
-        finish: Vec::new(),
-        messages: Vec::new(),
-    };
+    let mut out = StepTiming::default();
     superstep_timing_faulted_into(
         tree,
         cfg,
