@@ -6,12 +6,11 @@
 //! computes its row block locally (charged `rows × m` flops); the
 //! result is gathered at `P_f`.
 
+use crate::{read_at, send_at};
 use hbsp_collectives::plan::WorkloadPolicy;
-use hbsp_core::{
-    MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
-};
+use hbsp_core::{MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome};
 use hbsp_sim::{NetConfig, SimError, SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsplib::{codec, Ctx};
 use std::sync::Arc;
 
 const TAG_ROWS: u32 = 0x4D01;
@@ -82,9 +81,10 @@ impl SpmdProgram for MatVec {
         step: usize,
         env: &ProcEnv,
         state: &mut MatVecState,
-        ctx: &mut dyn SpmdContext,
+        raw: &mut dyn SpmdContext,
     ) -> StepOutcome {
         let root = env.tree.fastest_proc();
+        let mut ctx = Ctx::new(env, raw);
         match step {
             // Scatter row blocks and the vector together.
             0 => {
@@ -100,24 +100,29 @@ impl SpmdProgram for MatVec {
                             state.row_offset = range.start as usize;
                             state.x = self.x.as_ref().clone();
                         } else {
-                            let mut payload = Vec::with_capacity(rows.len() + 1);
-                            payload.push(range.start as f64);
-                            payload.extend_from_slice(rows);
-                            ctx.send(q, TAG_ROWS, &codec::encode_f64s(&payload));
-                            ctx.send(q, TAG_X, &codec::encode_f64s(&self.x));
+                            send_at(
+                                &mut ctx,
+                                q,
+                                TAG_ROWS,
+                                range.start as usize,
+                                rows.len(),
+                                |i| rows[i],
+                            );
+                            ctx.send_f64s(q, TAG_X, &self.x);
                         }
                     }
                 }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
+                ctx.sync_global()
             }
             // Local multiply, then send the partial y to the root.
             1 => {
                 for m in ctx.messages() {
                     match m.tag {
                         TAG_ROWS => {
-                            let payload = codec::decode_f64s(m.payload);
-                            state.row_offset = payload[0] as usize;
-                            state.rows = payload[1..].to_vec();
+                            let (offset, rows) = read_at(m.payload);
+                            state.row_offset = offset;
+                            state.rows.clear();
+                            state.rows.extend(rows);
                         }
                         TAG_X => state.x = codec::decode_f64s(m.payload),
                         _ => {}
@@ -125,33 +130,34 @@ impl SpmdProgram for MatVec {
                 }
                 let rows = state.rows.len() / self.m.max(1);
                 ctx.charge((rows * self.m) as f64 * 2.0); // mul+add per entry
-                let mut y_part = Vec::with_capacity(rows + 1);
-                y_part.push(state.row_offset as f64);
-                for r in 0..rows {
+                let dot = |r: usize| -> f64 {
                     let row = &state.rows[r * self.m..(r + 1) * self.m];
-                    y_part.push(row.iter().zip(&state.x).map(|(a, b)| a * b).sum());
-                }
+                    row.iter().zip(&state.x).map(|(a, b)| a * b).sum()
+                };
                 if env.pid == root {
                     state.y = vec![0.0; self.n];
-                    let off = y_part[0] as usize;
-                    state.y[off..off + y_part.len() - 1].copy_from_slice(&y_part[1..]);
+                    let off = state.row_offset;
+                    for (r, slot) in state.y[off..off + rows].iter_mut().enumerate() {
+                        *slot = dot(r);
+                    }
                 } else {
-                    ctx.send(root, TAG_Y, &codec::encode_f64s(&y_part));
+                    send_at(&mut ctx, root, TAG_Y, state.row_offset, rows, dot);
                 }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
+                ctx.sync_global()
             }
             // Root assembles y.
             _ => {
                 if env.pid == root {
                     for m in ctx.messages() {
                         if m.tag == TAG_Y {
-                            let payload = codec::decode_f64s(m.payload);
-                            let off = payload[0] as usize;
-                            state.y[off..off + payload.len() - 1].copy_from_slice(&payload[1..]);
+                            let (off, part) = read_at(m.payload);
+                            for (slot, v) in state.y[off..off + part.len()].iter_mut().zip(part) {
+                                *slot = v;
+                            }
                         }
                     }
                 }
-                StepOutcome::Done
+                ctx.done()
             }
         }
     }
@@ -187,28 +193,6 @@ pub fn simulate_matvec(
         time: outcome.total_time,
         sim: outcome,
     })
-}
-
-/// Binary-heap k-way merge of sorted `u32` runs (shared with the
-/// sample sort).
-pub fn kway_merge_u32(runs: Vec<Vec<u32>>) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(u32, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((r[0], i, 0)))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((v, run, pos))) = heap.pop() {
-        out.push(v);
-        if pos + 1 < runs[run].len() {
-            heap.push(Reverse((runs[run][pos + 1], run, pos + 1)));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -276,13 +260,6 @@ mod tests {
             .unwrap()
             .time;
         assert!(bal < eq, "balanced {bal} vs equal {eq}");
-    }
-
-    #[test]
-    fn kway_merge_merges() {
-        let merged = kway_merge_u32(vec![vec![1, 4, 7], vec![], vec![2, 3, 9], vec![5]]);
-        assert_eq!(merged, vec![1, 2, 3, 4, 5, 7, 9]);
-        assert!(kway_merge_u32(vec![]).is_empty());
     }
 
     #[test]

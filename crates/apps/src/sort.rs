@@ -13,17 +13,21 @@
 //! 5. everyone merges its incoming runs; bucket `j` now holds the
 //!    `j`-th sorted slice of the global array.
 //!
+//! The merge is run-adaptive: the own bucket and the delivered ones are
+//! decoded end to end into one buffer and merged by the standard
+//! library's stable sort, which detects the sorted runs and merges
+//! them in `O(n log k)` for `k` runs — what PSRS's final phase costs,
+//! and what the model charges for it (`n log2 max(k, 2)` work).
+//!
 //! The array ends *distributed* in rank order — concatenating the
 //! buckets yields the sorted array — which is how a BSP sort leaves
 //! its output.
 
-use crate::matvec::kway_merge_u32;
-use hbsp_collectives::data::{decode_bundle, encode_bundle};
+use hbsp_collectives::data::{partition_for, read_bundle, write_bundle};
 use hbsp_collectives::plan::{RootPolicy, WorkloadPolicy};
-use hbsp_collectives::shares_for;
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome};
 use hbsp_sim::{NetConfig, SimError, SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsplib::{codec, Ctx};
 use std::sync::Arc;
 
 const TAG_SHARE: u32 = 0x5301;
@@ -88,43 +92,51 @@ impl SpmdProgram for SampleSort {
         step: usize,
         env: &ProcEnv,
         state: &mut SortState,
-        ctx: &mut dyn SpmdContext,
+        raw: &mut dyn SpmdContext,
     ) -> StepOutcome {
         let root = self
             .root
             .resolve(&env.tree)
             .expect("sort root must be a valid rank");
         let p = env.nprocs;
+        let mut ctx = Ctx::new(env, raw);
         match step {
-            // Phase 1: scatter shares from the root.
+            // Phase 1: scatter shares from the root, each a one-piece
+            // bundle written straight from the input.
             0 => {
                 if env.pid == root {
-                    let shares = shares_for(&env.tree, &self.items, self.workload);
-                    for (j, piece) in shares.into_iter().enumerate() {
+                    let part = partition_for(&env.tree, self.items.len() as u64, self.workload);
+                    for j in 0..p {
                         let q = ProcId(j as u32);
+                        let range = part.range(q);
+                        let items = &self.items[range.start as usize..range.end as usize];
                         if q == root {
-                            state.run = piece.items;
+                            state.run = items.to_vec();
                         } else {
-                            ctx.send(q, TAG_SHARE, &encode_bundle(&[piece]));
+                            // A one-piece bundle: count, offset, len, items.
+                            let piece = (range.start as u32, items);
+                            ctx.send_with(q, TAG_SHARE, 4 * (3 + items.len()), &mut |buf| {
+                                write_bundle(std::iter::once(piece), buf)
+                            });
                         }
                     }
                 }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
+                ctx.sync_global()
             }
             // Phase 2: local sort + regular sampling.
             1 => {
                 for m in ctx.messages() {
                     if m.tag == TAG_SHARE {
-                        state.run = decode_bundle(m.payload)
+                        let (_, share) = read_bundle(m.payload)
                             .expect("own wire format")
-                            .pop()
-                            .expect("one share")
-                            .items;
+                            .last()
+                            .expect("one share");
+                        state.run.clear();
+                        state.run.extend(share);
                     }
                 }
-                let run = std::mem::take(&mut state.run);
+                let run = &mut state.run;
                 ctx.charge(sort_work(run.len()));
-                let mut run = run;
                 run.sort_unstable();
                 // p regular samples (or fewer if the run is tiny).
                 let samples: Vec<u32> = if run.is_empty() {
@@ -137,10 +149,9 @@ impl SpmdProgram for SampleSort {
                     // until the pool is complete.
                     state.splitters = samples;
                 } else {
-                    ctx.send(root, TAG_SAMPLES, &codec::encode_u32s(&samples));
+                    ctx.send_u32s(root, TAG_SAMPLES, &samples);
                 }
-                state.run = run;
-                StepOutcome::Continue(SyncScope::global(&env.tree))
+                ctx.sync_global()
             }
             // Phase 3: the root selects and distributes splitters.
             2 => {
@@ -148,7 +159,7 @@ impl SpmdProgram for SampleSort {
                     let mut pool = std::mem::take(&mut state.splitters);
                     for m in ctx.messages() {
                         if m.tag == TAG_SAMPLES {
-                            pool.extend(codec::decode_u32s(m.payload));
+                            pool.extend(codec::u32s(m.payload));
                         }
                     }
                     ctx.charge(sort_work(pool.len()));
@@ -158,16 +169,12 @@ impl SpmdProgram for SampleSort {
                     } else {
                         (1..p).map(|i| pool[i * pool.len() / p]).collect()
                     };
-                    for j in 0..p {
-                        let q = ProcId(j as u32);
-                        if q == root {
-                            state.splitters = splitters.clone();
-                        } else {
-                            ctx.send(q, TAG_SPLITTERS, &codec::encode_u32s(&splitters));
-                        }
+                    for j in (0..p).filter(|&j| j != root.rank()) {
+                        ctx.send_u32s(ProcId(j as u32), TAG_SPLITTERS, &splitters);
                     }
+                    state.splitters = splitters;
                 }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
+                ctx.sync_global()
             }
             // Phase 4: bucket exchange.
             3 => {
@@ -200,23 +207,26 @@ impl SpmdProgram for SampleSort {
                     if q == env.pid {
                         state.bucket = bucket.to_vec();
                     } else {
-                        ctx.send(q, TAG_BUCKET, &codec::encode_u32s(bucket));
+                        ctx.send_u32s(q, TAG_BUCKET, bucket);
                     }
                 }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
+                ctx.sync_global()
             }
-            // Phase 5: merge incoming runs.
+            // Phase 5: merge incoming runs. The own bucket and every
+            // delivered one are sorted runs laid end to end; the stable
+            // sort finds those runs and merges them.
             _ => {
-                let mut runs: Vec<Vec<u32>> = vec![std::mem::take(&mut state.bucket)];
-                for m in ctx.messages() {
-                    if m.tag == TAG_BUCKET {
-                        runs.push(codec::decode_u32s(m.payload));
-                    }
+                let bucket = &mut state.bucket;
+                let delivered = || ctx.messages().iter().filter(|m| m.tag == TAG_BUCKET);
+                bucket.reserve_exact(delivered().map(|m| m.payload.len() / 4).sum());
+                let mut runs = 1;
+                for m in delivered() {
+                    bucket.extend(codec::u32s(m.payload));
+                    runs += 1;
                 }
-                let total: usize = runs.iter().map(Vec::len).sum();
-                ctx.charge(total as f64 * (runs.len().max(2) as f64).log2());
-                state.bucket = kway_merge_u32(runs);
-                StepOutcome::Done
+                ctx.charge(bucket.len() as f64 * (runs.max(2) as f64).log2());
+                bucket.sort();
+                ctx.done()
             }
         }
     }

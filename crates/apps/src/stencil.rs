@@ -7,14 +7,15 @@
 //! left/right neighbours, then relax `u[i] ← (u[i−1] + u[i+1]) / 2`
 //! over the interior (charged one work unit per cell). Fixed boundary
 //! conditions; after enough iterations the solution approaches the
-//! linear steady state.
+//! linear steady state. A sweep writes into a second buffer kept in
+//! the state and swaps it in, so no sweep allocates; halos travel as
+//! one `f64` each.
 
+use crate::{read_at, send_at};
 use hbsp_collectives::plan::WorkloadPolicy;
-use hbsp_core::{
-    MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
-};
+use hbsp_core::{MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome};
 use hbsp_sim::{NetConfig, SimError, SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsplib::{codec, Ctx};
 use std::sync::Arc;
 
 const TAG_HALO_LEFT: u32 = 0x4801; // carries my leftmost cell, to my left neighbour
@@ -68,6 +69,9 @@ pub struct StencilState {
     /// neighbour is not necessarily rank ± 1.
     left_neighbor: Option<ProcId>,
     right_neighbor: Option<ProcId>,
+    /// The sweep's second buffer: each sweep writes here from `cells`,
+    /// then the two swap.
+    next: Vec<f64>,
     /// The assembled final field (root only).
     pub result: Vec<f64>,
 }
@@ -106,6 +110,7 @@ impl SpmdProgram for Stencil {
             right_halo,
             left_neighbor,
             right_neighbor,
+            next: Vec::new(),
             result: Vec::new(),
         }
     }
@@ -115,12 +120,13 @@ impl SpmdProgram for Stencil {
         step: usize,
         env: &ProcEnv,
         state: &mut StencilState,
-        ctx: &mut dyn SpmdContext,
+        raw: &mut dyn SpmdContext,
     ) -> StepOutcome {
+        let mut ctx = Ctx::new(env, raw);
         if step < self.iterations {
             // Absorb halos from the previous exchange.
             for m in ctx.messages() {
-                let v = codec::decode_f64s(m.payload)[0];
+                let v = codec::f64s(m.payload).next().expect("halo carries a cell");
                 match m.tag {
                     // The right neighbour sent its leftmost cell.
                     TAG_HALO_LEFT => state.right_halo = v,
@@ -129,62 +135,60 @@ impl SpmdProgram for Stencil {
                     _ => {}
                 }
             }
-            // Relax.
+            // Relax into the second buffer, then swap it in.
             if !state.cells.is_empty() {
                 ctx.charge(state.cells.len() as f64);
-                let old = state.cells.clone();
+                let old = &state.cells;
                 let n = old.len();
-                for i in 0..n {
+                state.next.clear();
+                state.next.extend((0..n).map(|i| {
                     let left = if i == 0 { state.left_halo } else { old[i - 1] };
                     let right = if i + 1 == n {
                         state.right_halo
                     } else {
                         old[i + 1]
                     };
-                    state.cells[i] = 0.5 * (left + right);
-                }
+                    0.5 * (left + right)
+                }));
+                std::mem::swap(&mut state.cells, &mut state.next);
             }
             // Exchange halos for the next sweep, with the *data*
             // neighbours (owners of the adjacent cells). Boundary-facing
             // sides keep their fixed halo.
             if let Some(left) = state.left_neighbor {
-                ctx.send(left, TAG_HALO_LEFT, &codec::encode_f64s(&[state.cells[0]]));
+                ctx.send_f64s(left, TAG_HALO_LEFT, &state.cells[..1]);
             }
             if let Some(right) = state.right_neighbor {
-                ctx.send(
-                    right,
-                    TAG_HALO_RIGHT,
-                    &codec::encode_f64s(&[*state.cells.last().unwrap()]),
-                );
+                ctx.send_f64s(right, TAG_HALO_RIGHT, &state.cells[state.cells.len() - 1..]);
             }
-            return StepOutcome::Continue(SyncScope::global(&env.tree));
+            return ctx.sync_global();
         }
+        let root = env.tree.fastest_proc();
         if step == self.iterations {
             // Gather the field at the fastest processor.
-            let root = env.tree.fastest_proc();
             if env.pid != root {
-                let mut payload = Vec::with_capacity(state.cells.len() + 1);
-                payload.push(state.offset as f64);
-                payload.extend_from_slice(&state.cells);
-                ctx.send(root, TAG_RESULT, &codec::encode_f64s(&payload));
+                let cells = &state.cells;
+                send_at(&mut ctx, root, TAG_RESULT, state.offset, cells.len(), |i| {
+                    cells[i]
+                });
             }
-            return StepOutcome::Continue(SyncScope::global(&env.tree));
+            return ctx.sync_global();
         }
         // Final: root assembles.
-        let root = env.tree.fastest_proc();
         if env.pid == root {
             let mut field = self.field.as_ref().clone();
             field[state.offset..state.offset + state.cells.len()].copy_from_slice(&state.cells);
             for m in ctx.messages() {
                 if m.tag == TAG_RESULT {
-                    let payload = codec::decode_f64s(m.payload);
-                    let off = payload[0] as usize;
-                    field[off..off + payload.len() - 1].copy_from_slice(&payload[1..]);
+                    let (off, cells) = read_at(m.payload);
+                    for (slot, v) in field[off..off + cells.len()].iter_mut().zip(cells) {
+                        *slot = v;
+                    }
                 }
             }
             state.result = field;
         }
-        StepOutcome::Done
+        ctx.done()
     }
 }
 

@@ -111,17 +111,25 @@ fn parse_line(line: &str) -> Result<Job, String> {
 }
 
 /// Graph-level validation: unknown dependency ids, zero-word payloads,
-/// and dependency cycles, each reported against the offending line.
+/// payloads too large for the wire, and dependency cycles, each
+/// reported against the offending line.
 pub fn validate(jobs: &[ParsedJob]) -> Vec<JobfileError> {
     let mut errors = Vec::new();
     for (id, pj) in jobs.iter().enumerate() {
-        if let JobWork::Collective { n: 0, .. } = pj.job.work {
+        let size_error = match pj.job.work {
+            JobWork::Collective { n: 0, .. } => {
+                Some("zero-word payload (n=0 moves nothing)".into())
+            }
+            JobWork::Collective { n, .. } if n > u64::from(u32::MAX) => Some(format!(
+                "n={n} words do not fit a unit's u32 length (at most {})",
+                u32::MAX
+            )),
+            _ => None,
+        };
+        if let Some(what) = size_error {
             errors.push(JobfileError {
                 line: pj.line,
-                message: format!(
-                    "job {id} `{}`: zero-word payload (n=0 moves nothing)",
-                    pj.job.name
-                ),
+                message: format!("job {id} `{}`: {what}", pj.job.name),
             });
         }
         for dep in &pj.job.blocked_by {
@@ -259,6 +267,28 @@ mod tests {
         // The cycle c(2) <-> d(3) names both participants.
         let cycle = msgs.iter().find(|m| m.contains("cycle")).unwrap();
         assert!(cycle.contains("`c`") && cycle.contains("`d`"), "{cycle}");
+    }
+
+    #[test]
+    fn validate_flags_payloads_the_wire_cannot_carry() {
+        let (jobs, errors) = parse(
+            "a gather n=4294967295\n\
+             b gather n=4294967296\n\
+             c alltoall n=4294967301\n",
+        );
+        assert!(errors.is_empty());
+        let diags = validate(&jobs);
+        assert_eq!(ids(&diags), vec![2, 3]);
+        assert!(
+            diags[0].message.contains("n=4294967296"),
+            "{}",
+            diags[0].message
+        );
+        assert!(
+            diags[1].message.contains("do not fit"),
+            "{}",
+            diags[1].message
+        );
     }
 
     #[test]

@@ -62,13 +62,11 @@ impl Piece {
 
     /// Decode from a payload produced by [`Piece::encode`].
     pub fn decode(payload: &[u8]) -> Result<Piece, DecodeError> {
-        let words = codec::decode_u32s(payload);
-        if words.is_empty() {
-            return Err(DecodeError::MissingOffset);
-        }
+        let mut words = codec::u32s(payload);
+        let offset = words.next().ok_or(DecodeError::MissingOffset)?;
         Ok(Piece {
-            offset: words[0],
-            items: words[1..].to_vec(),
+            offset,
+            items: words.collect(),
         })
     }
 
@@ -88,46 +86,80 @@ impl Piece {
 /// collectives bundle a whole cluster's pieces into a single message so
 /// per-message overhead is paid once per link, not once per origin.
 pub fn encode_bundle(pieces: &[Piece]) -> Vec<u8> {
-    let total: usize = pieces.iter().map(|p| 2 + p.items.len()).sum();
-    let mut words = Vec::with_capacity(1 + total);
-    words.push(pieces.len() as u32);
-    for p in pieces {
-        words.push(p.offset);
-        words.push(p.items.len() as u32);
-        words.extend_from_slice(&p.items);
+    let words: usize = pieces.iter().map(|p| 2 + p.items.len()).sum();
+    let mut out = vec![0; 4 * (1 + words)];
+    write_bundle(pieces.iter().map(|p| (p.offset, &p.items[..])), &mut out);
+    out
+}
+
+/// Write the bundle of `(offset, items)` pieces — the bytes
+/// [`encode_bundle`] makes of them — straight into `out`, for
+/// [`hbsp_core::SpmdContext::send_with`] fills.
+///
+/// # Panics
+/// Panics if `out` is not exactly `4 * (1 + Σ (2 + items.len()))` bytes.
+pub fn write_bundle<'a>(pieces: impl ExactSizeIterator<Item = (u32, &'a [u32])>, out: &mut [u8]) {
+    let (count, mut rest) = out.split_at_mut(4);
+    codec::write_u32s(&[pieces.len() as u32], count);
+    for (offset, items) in pieces {
+        let (head, tail) = rest.split_at_mut(8);
+        codec::write_u32s(&[offset, items.len() as u32], head);
+        let (body, tail) = tail.split_at_mut(4 * items.len());
+        codec::write_u32s(items, body);
+        rest = tail;
     }
-    codec::encode_u32s(&words)
+    assert!(rest.is_empty(), "destination length mismatch");
 }
 
 /// Decode a payload produced by [`encode_bundle`].
 pub fn decode_bundle(payload: &[u8]) -> Result<Vec<Piece>, DecodeError> {
-    let words = codec::decode_u32s(payload);
-    if words.is_empty() {
-        return Err(DecodeError::MissingCount);
-    }
-    let count = words[0] as usize;
-    let mut out = Vec::with_capacity(count.min(words.len()));
-    let mut i = 1;
+    Ok(read_bundle(payload)?
+        .map(|(offset, items)| Piece {
+            offset,
+            items: items.collect(),
+        })
+        .collect())
+}
+
+/// Check a payload produced by [`encode_bundle`] — its count, every
+/// piece's length, no trailing words — and read its pieces, in wire
+/// order, as `(offset, items)` without copying them: the items decode
+/// as they are iterated. Errors are those of [`decode_bundle`].
+///
+/// # Panics
+/// Panics if the payload length is not a multiple of 4, as
+/// [`codec::decode_u32s`] does.
+pub fn read_bundle(
+    payload: &[u8],
+) -> Result<
+    impl ExactSizeIterator<Item = (u32, impl ExactSizeIterator<Item = u32> + '_)>,
+    DecodeError,
+> {
+    let mut words = codec::u32s(payload);
+    let count = words.next().ok_or(DecodeError::MissingCount)? as usize;
+    let body = &payload[4..];
+    let word = |at: &[u8], i: usize| u32::from_le_bytes(at[4 * i..4 * i + 4].try_into().unwrap());
+    let total = body.len() / 4;
+    let mut i = 0;
     for _ in 0..count {
-        if i + 2 > words.len() {
+        if i + 2 > total {
             return Err(DecodeError::TruncatedHeader);
         }
-        let offset = words[i];
-        let len = words[i + 1] as usize;
-        i += 2;
-        if i + len > words.len() {
+        i += 2 + word(body, i + 1) as usize;
+        if i > total {
             return Err(DecodeError::TruncatedBody);
         }
-        out.push(Piece {
-            offset,
-            items: words[i..i + len].to_vec(),
-        });
-        i += len;
     }
-    if i != words.len() {
+    if i != total {
         return Err(DecodeError::TrailingWords);
     }
-    Ok(out)
+    let mut rest = body;
+    Ok((0..count).map(move |_| {
+        let (offset, len) = (word(rest, 0), word(rest, 1) as usize);
+        let (items, tail) = rest[8..].split_at(4 * len);
+        rest = tail;
+        (offset, codec::u32s(items))
+    }))
 }
 
 /// The block [`Partition`] of `n` items a workload policy induces on
@@ -225,6 +257,21 @@ mod tests {
     }
 
     #[test]
+    fn bundle_reader_reads_a_written_bundle_in_place() {
+        let piece = Piece {
+            offset: 7,
+            items: vec![9, 8, 7],
+        };
+        let mut buf = vec![0; 4 * (3 + piece.len())];
+        write_bundle(std::iter::once((piece.offset, &piece.items[..])), &mut buf);
+        assert_eq!(buf, encode_bundle(std::slice::from_ref(&piece)));
+        let pieces = read_bundle(&buf).unwrap();
+        assert_eq!(pieces.len(), 1);
+        let views: Vec<(u32, Vec<u32>)> = pieces.map(|(o, items)| (o, items.collect())).collect();
+        assert_eq!(views, [(7, vec![9, 8, 7])]);
+    }
+
+    #[test]
     fn malformed_bundles_are_typed_errors() {
         let well_formed = encode_bundle(&[Piece {
             offset: 0,
@@ -247,6 +294,12 @@ mod tests {
         let mut trailing = well_formed;
         trailing.extend_from_slice(&[0, 0, 0, 0]);
         assert_eq!(decode_bundle(&trailing), Err(DecodeError::TrailingWords));
+        // A count far past the payload stops at the first missing header.
+        let huge = codec::encode_u32s(&[u32::MAX, 0, 0]);
+        assert_eq!(decode_bundle(&huge), Err(DecodeError::TruncatedHeader));
+        // A piece length far past the payload.
+        let long = codec::encode_u32s(&[1, 0, u32::MAX]);
+        assert_eq!(decode_bundle(&long), Err(DecodeError::TruncatedBody));
     }
 
     #[test]

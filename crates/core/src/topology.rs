@@ -34,6 +34,11 @@
 //! }
 //! ```
 //!
+//! A cluster body holds at least one node, clusters nest at most
+//! [`MAX_DEPTH`] levels deep (the parser recurses once per level) and
+//! every number is finite; each violation is a
+//! [`ModelError::Parse`] with its position.
+//!
 //! [`parse`] builds a validated [`MachineTree`]; [`to_dsl`] renders one
 //! back to text (round-trip stable up to whitespace).
 
@@ -43,6 +48,12 @@ use crate::ids::NodeIdx;
 use crate::params::{NodeParams, DEFAULT_G};
 use crate::tree::{MachineTree, NodeKind};
 use std::fmt::Write as _;
+
+/// The deepest cluster nesting [`parse`] accepts: far beyond any real
+/// machine (the paper's have two or three levels), and shallow enough
+/// that the recursive parser and the tree walks that follow it stay
+/// within a thread's default stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// Parse a machine description into a validated tree. See the module
 /// docs for the grammar. A declared `k` header must match the tree's
@@ -155,6 +166,8 @@ struct Parser<'a> {
     /// Position of the most recently produced token, for error messages.
     tok_line: u32,
     tok_col: u32,
+    /// Clusters currently open around the node being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -166,6 +179,7 @@ impl<'a> Parser<'a> {
             col: 1,
             tok_line: 1,
             tok_col: 1,
+            depth: 0,
         }
     }
 
@@ -248,9 +262,10 @@ impl<'a> Parser<'a> {
                     self.bump();
                 }
                 let s = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                s.parse::<f64>()
-                    .map(Tok::Number)
-                    .map_err(|_| self.err(format!("invalid number `{s}`")))
+                match s.parse::<f64>() {
+                    Ok(v) if v.is_finite() => Ok(Tok::Number(v)),
+                    _ => Err(self.err(format!("invalid number `{s}`"))),
+                }
             }
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
                 let start = self.pos;
@@ -386,18 +401,30 @@ impl<'a> Parser<'a> {
                 };
                 spans.push(span);
                 self.expect(Tok::LBrace, "`{` opening cluster body")?;
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("clusters nest deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let mut children = 0;
                 loop {
                     match self.peek_tok()? {
                         Tok::RBrace => {
                             self.next_tok()?;
+                            if children == 0 {
+                                return Err(self.err(
+                                    "empty cluster body: a cluster holds at least one machine",
+                                ));
+                            }
                             break;
                         }
                         Tok::Eof => return Err(self.err("unterminated cluster body")),
                         _ => {
                             self.node(b, Some(idx), spans)?;
+                            children += 1;
                         }
                     }
                 }
+                self.depth -= 1;
                 Ok(idx)
             }
             other => Err(self.err(format!("expected `proc` or `cluster`, found `{other}`"))),
@@ -510,6 +537,15 @@ cluster campus (L=500) {
         match err {
             ModelError::Parse { line, .. } => assert_eq!(line, 3, "unterminated body at EOF"),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_empty_cluster_body_where_it_closes() {
+        let err = parse("cluster c (L=1) {\n    cluster d (L=1) {\n    }\n}\n").unwrap_err();
+        match err {
+            ModelError::Parse { line, col, .. } => assert_eq!((line, col), (3, 5)),
+            other => panic!("expected a parse error, got {other}"),
         }
     }
 

@@ -3,6 +3,12 @@
 //! The paper's experiments move buffers of integers; the library ships
 //! them as little-endian bytes. Encodings are exact inverses and
 //! total-length checked on decode.
+//!
+//! Each width has three forms: `encode_*` (a new `Vec`), `write_*`
+//! (in place, for [`hbsp_core::SpmdContext::send_with`] fills) and a
+//! borrowing reader ([`u32s`], [`u64s`], [`f64s`]) that decodes a
+//! payload as it is iterated, so a receiver can extend its own buffer
+//! without an intermediate `Vec`; `decode_*` collects the reader.
 
 /// Encode a `u32` slice (the model's "words") as little-endian bytes.
 pub fn encode_u32s(values: &[u32]) -> Vec<u8> {
@@ -32,15 +38,31 @@ pub fn write_u32s(values: &[u32], out: &mut [u8]) {
 /// Panics if the length is not a multiple of 4 — a malformed payload is
 /// a program bug, not a recoverable condition.
 pub fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
+    u32s(bytes).collect()
+}
+
+/// Read little-endian bytes as `u32`s without allocating.
+///
+/// # Panics
+/// Panics (on the call, not on iteration) if the length is not a
+/// multiple of 4.
+pub fn u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    chunks::<4>(bytes, "u32").map(u32::from_le_bytes)
+}
+
+/// The `W`-byte chunks of a payload of whole `what`s.
+fn chunks<'a, const W: usize>(
+    bytes: &'a [u8],
+    what: &str,
+) -> impl ExactSizeIterator<Item = [u8; W]> + 'a {
     assert!(
-        bytes.len().is_multiple_of(4),
-        "payload length {} is not a whole number of u32s",
+        bytes.len().is_multiple_of(W),
+        "payload length {} is not a whole number of {what}s",
         bytes.len()
     );
     bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+        .chunks_exact(W)
+        .map(|c| c.try_into().expect("chunks_exact yields W bytes"))
 }
 
 /// Encode a `u64` slice as little-endian bytes.
@@ -69,15 +91,15 @@ pub fn write_u64s(values: &[u64], out: &mut [u8]) {
 /// # Panics
 /// Panics if the length is not a multiple of 8.
 pub fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload length {} is not a whole number of u64s",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    u64s(bytes).collect()
+}
+
+/// Read little-endian bytes as `u64`s without allocating.
+///
+/// # Panics
+/// Panics (on the call) if the length is not a multiple of 8.
+pub fn u64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    chunks::<8>(bytes, "u64").map(u64::from_le_bytes)
 }
 
 /// Encode an `f64` slice as little-endian bytes.
@@ -106,15 +128,15 @@ pub fn write_f64s(values: &[f64], out: &mut [u8]) {
 /// # Panics
 /// Panics if the length is not a multiple of 8.
 pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload length {} is not a whole number of f64s",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    f64s(bytes).collect()
+}
+
+/// Read little-endian bytes as `f64`s without allocating.
+///
+/// # Panics
+/// Panics (on the call) if the length is not a multiple of 8.
+pub fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    chunks::<8>(bytes, "f64").map(f64::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -171,6 +193,24 @@ mod tests {
     #[should_panic(expected = "whole number of u32s")]
     fn truncated_u32_payload_panics() {
         decode_u32s(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn readers_borrow_and_know_their_length() {
+        let bytes = encode_u32s(&[5, 6, 7]);
+        let it = u32s(&bytes);
+        assert_eq!(it.len(), 3);
+        assert_eq!(it.collect::<Vec<_>>(), [5, 6, 7]);
+        let bytes = encode_f64s(&[-0.0, 2.5]);
+        let back: Vec<u64> = f64s(&bytes).map(f64::to_bits).collect();
+        assert_eq!(back, [(-0.0f64).to_bits(), 2.5f64.to_bits()]);
+        assert_eq!(u64s(&encode_u64s(&[u64::MAX])).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of f64s")]
+    fn readers_check_the_length_when_called() {
+        let _ = f64s(&[0; 12]);
     }
 
     #[test]

@@ -80,6 +80,19 @@ impl<'a> Ctx<'a> {
         self.raw.send(dst, tag, payload);
     }
 
+    /// Send `len` payload bytes that `fill` writes straight into the
+    /// outbox arena (for wire formats the typed sends below do not
+    /// cover).
+    pub fn send_with(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        len: usize,
+        fill: &mut dyn FnMut(&mut [u8]),
+    ) {
+        self.raw.send_with(dst, tag, len, fill);
+    }
+
     /// Send a `u32` buffer, encoded straight into the outbox arena (no
     /// temporary buffer).
     pub fn send_u32s(&mut self, dst: ProcId, tag: u32, values: &[u32]) {

@@ -181,15 +181,25 @@ impl Scheduler {
             return Err(SchedError::InvalidGraph(violations));
         }
         for (i, job) in self.jobs.iter().enumerate() {
-            if let JobWork::Custom { schedule, .. } = &job.work {
-                let steps = &schedule.steps;
-                let body_ok = steps
-                    .iter()
-                    .enumerate()
-                    .all(|(s, st)| (s + 1 == steps.len()) == st.scope.is_none());
-                if steps.is_empty() || !body_ok {
-                    return Err(SchedError::MalformedCustom { job: JobId(i) });
+            match &job.work {
+                &JobWork::Collective { n, .. } if n > u64::from(u32::MAX) => {
+                    return Err(SchedError::PayloadTooLarge {
+                        job: JobId(i),
+                        name: job.name.clone(),
+                        n,
+                    });
                 }
+                JobWork::Custom { schedule, .. } => {
+                    let steps = &schedule.steps;
+                    let body_ok = steps
+                        .iter()
+                        .enumerate()
+                        .all(|(s, st)| (s + 1 == steps.len()) == st.scope.is_none());
+                    if steps.is_empty() || !body_ok {
+                        return Err(SchedError::MalformedCustom { job: JobId(i) });
+                    }
+                }
+                JobWork::Collective { .. } => {}
             }
         }
 
@@ -730,6 +740,26 @@ mod tests {
             }
             other => panic!("expected Unplaceable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn job_too_large_for_the_wire_is_refused_before_pricing() {
+        let mut s = Scheduler::new(campus_like());
+        s.submit(Job::collective("ok", CollectiveKind::Gather, 8));
+        // 2^32 + 5 words: a unit id's length field would wrap to 5, and
+        // lowering would try to allocate 16 GiB.
+        let n = u64::from(u32::MAX) + 6;
+        s.submit(Job::collective("huge", CollectiveKind::Broadcast, n));
+        let err = match s.run(&RunOptions::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("a 2^32 + 5-word job must be refused"),
+        };
+        assert!(
+            matches!(&err, SchedError::PayloadTooLarge { job: JobId(1), name, n: got }
+                if name == "huge" && *got == n),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("n=4294967301"), "{err}");
     }
 
     #[test]

@@ -185,6 +185,17 @@ pub enum SchedError {
         /// Leaves the whole machine has.
         available: usize,
     },
+    /// A collective job asks for more words than a unit's `u32` length
+    /// field can carry on the wire; refused before anything is priced
+    /// or lowered.
+    PayloadTooLarge {
+        /// The job.
+        job: JobId,
+        /// Its name.
+        name: String,
+        /// The words it asked for.
+        n: u64,
+    },
     /// A custom job's schedule is structurally invalid (empty, or a
     /// drain step before the end).
     MalformedCustom {
@@ -234,6 +245,11 @@ impl fmt::Display for SchedError {
                 f,
                 "{job} ({name}) needs {needed} processors but the machine has {available}; \
                  no sub-tree can ever host it"
+            ),
+            SchedError::PayloadTooLarge { job, name, n } => write!(
+                f,
+                "{job} ({name}) asks for n={n} words, more than the {} a unit carries",
+                u32::MAX
             ),
             SchedError::MalformedCustom { job } => write!(
                 f,
